@@ -112,11 +112,8 @@ _DIFFING_EXPORTS = frozenset(
 )
 _CLUSTER_EXPORTS = frozenset(
     {
-        "ClusterExecutor",
-        "Coordinator",
         "ProgressPrinter",
         "run_cluster_campaign",
-        "worker_main",
     }
 )
 __all__ += sorted(_DIFFING_EXPORTS) + sorted(_CLUSTER_EXPORTS)

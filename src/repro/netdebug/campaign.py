@@ -613,13 +613,7 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
 
 
 def _run_shard(job: tuple) -> "ScenarioResult":
-    # Tolerant unpack: jobs grew an engine element, then an
-    # oracle-factory element; older tuples (e.g. from a coordinator one
-    # minor version behind) default to closures / the scenario's named
-    # oracle.
-    epoch, scenario, faults, keep_suite, *rest = job
-    engine = rest[0] if rest else "closure"
-    oracle_factory = rest[1] if len(rest) > 1 else None
+    epoch, scenario, faults, keep_suite, engine, oracle_factory = job
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
         epoch, scenario.program, scenario.target, scenario.setup, engine
@@ -723,9 +717,7 @@ def _suite_name(scenario: Scenario) -> str:
 
 
 def _replay_shard(job: tuple) -> "ScenarioResult":
-    epoch, scenario, faults, directory, times_ns, *rest = job
-    engine = rest[0] if rest else "closure"
-    ports = rest[1] if len(rest) > 1 else None
+    epoch, scenario, faults, directory, times_ns, engine, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
@@ -1006,9 +998,10 @@ class ShardExecutor:
     :class:`ScenarioResult` list **in any order**; implementations call
     ``on_result(result)`` as each shard completes (streaming ingest).
     :func:`run_campaign` owns expansion, progress accounting, record
-    artifacts and deterministic reassembly, so the local pool and the
-    distributed cluster (:class:`repro.netdebug.cluster.ClusterExecutor`)
-    share everything except raw dispatch.
+    artifacts and deterministic reassembly, so serial and pooled runs
+    share everything except raw dispatch. Distributed runs go through
+    the campaign service instead (:mod:`repro.netdebug.service`), which
+    reassembles with the same :func:`assemble_report`.
     """
 
     def execute(
@@ -1166,11 +1159,13 @@ def run_campaign(
     """Expand ``matrix`` and execute every scenario shard.
 
     ``workers`` > 1 runs shards on a process pool (each worker caching
-    one compiled artifact per program/target); passing ``executor``
-    overrides dispatch entirely — e.g.
-    :class:`repro.netdebug.cluster.ClusterExecutor` to fan shards out
-    to socket-connected workers on other hosts. Either way the final
-    report is byte-identical to the serial run.
+    one compiled artifact per program/target); passing a
+    :class:`ShardExecutor` as ``executor`` overrides dispatch entirely.
+    Either way the final report is byte-identical to the serial run.
+    To spread a campaign over worker processes on other hosts, submit
+    it to the campaign service (:mod:`repro.netdebug.service`, or
+    :func:`repro.netdebug.cluster.run_cluster_campaign` for a
+    localhost fleet); its reports are byte-identical too.
 
     ``on_result`` is the streaming-ingest hook: called as
     ``on_result(scenario_key, report, progress)`` the moment each shard
@@ -1187,8 +1182,8 @@ def run_campaign(
 
     ``oracle_factory`` overrides the matrix's named ``oracle`` with an
     arbitrary factory (called per shard as ``factory(program,
-    num_ports=...)``). It rides the job frame to every worker, so it
-    must be picklable — a module-level class or function. Sharding is
+    num_ports=...)``). It rides the job tuple to every pool worker, so
+    it must be picklable — a module-level class or function. Sharding is
     per *scenario cell*, each cell's packets staying on one shard in
     arrival order, which is exactly the state boundary stateful oracles
     need.

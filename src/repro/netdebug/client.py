@@ -61,7 +61,7 @@ class CampaignHandle:
         if self._report is not None:
             return self._report
         while True:
-            frame = self._channel.recv(json_only=True)
+            frame = self._channel.recv()
             if frame is None:
                 raise ClusterError(
                     f"service connection closed with campaign "
@@ -117,7 +117,7 @@ class CampaignHandle:
                 "baseline": baseline.to_dict(),
             }
         )
-        reply = self._channel.recv(json_only=True)
+        reply = self._channel.recv()
         if reply is None or reply.get("type") != "gated":
             raise ClusterError(
                 f"gate request for campaign {self.campaign} was "
@@ -166,7 +166,7 @@ class ServiceClient:
         channel = self._connect()
         try:
             channel.send(message)
-            reply = channel.recv(json_only=True)
+            reply = channel.recv()
         finally:
             channel.close()
         if reply is None:
@@ -210,7 +210,7 @@ class ServiceClient:
                     "matrix": matrix_to_dict(matrix),
                 }
             )
-            reply = channel.recv(json_only=True)
+            reply = channel.recv()
         except BaseException:
             channel.close()
             raise

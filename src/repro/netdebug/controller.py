@@ -68,11 +68,11 @@ class NetDebugController:
     def stream_archiver(self):
         """An ``on_result`` hook that archives campaign reports live.
 
-        Pass the returned callable to :func:`run_campaign` /
-        :func:`repro.netdebug.cluster.run_cluster_campaign` to fold
-        session reports into this controller's archive *as shards
-        complete* — in arrival order, which under a parallel or
-        distributed executor is not scenario order. For a
+        Pass the returned callable to :func:`run_campaign`,
+        :func:`repro.netdebug.cluster.run_cluster_campaign` or a
+        service ``CampaignHandle.stream`` to fold session reports into
+        this controller's archive *as shards complete* — in arrival
+        order, which on a pool or the service is not scenario order. For a
         deterministically ordered archive, call
         :meth:`archive_campaign` on the final report instead.
         """

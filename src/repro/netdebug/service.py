@@ -1,9 +1,11 @@
 """Campaign-as-a-service: a persistent, multi-tenant validation fleet.
 
-The cluster module (:mod:`repro.netdebug.cluster`) is a one-shot
-launcher: one matrix in, one fleet torn down. This module promotes it
-to a **long-running service** any CI in the org can call — submit →
-stream → diff-gate — with the properties a shared fleet needs:
+The one distributed substrate of the campaign engine: a
+**long-running service** any CI in the org can call — submit →
+stream → diff-gate — with the properties a shared fleet needs. Its
+worker side lives in :mod:`repro.netdebug.cluster`, whose
+``run_cluster_campaign`` runs a private instance of this service with
+local workers for one campaign.
 
 * **Many concurrent campaigns.** Each submission carries a tenant id,
   a strict-priority tier and a fair-share weight. Scheduling is
@@ -23,12 +25,14 @@ stream → diff-gate — with the properties a shared fleet needs:
   session id; the coordinator keeps its assignments alive for a grace
   window and, on resume, requeues only what the worker genuinely no
   longer holds — no dropped cells, no duplicated cells.
-* **A hardened wire.** The service speaks JSON frames only — a pickle
-  job frame is rejected without ever being unpickled — and, keyed from
+* **A hardened wire.** The service speaks JSON frames only — any
+  other frame kind is rejected by its header byte — and, keyed from
   ``REPRO_SERVICE_SECRET``, every frame in both directions carries an
   HMAC-SHA256 tag over an implicit per-direction sequence number
   (:class:`repro.netdebug.transport.FrameAuth`), so a stray peer can
   neither execute code, nor forge jobs or results, nor replay them.
+  Connections refused before their first frame are counted as
+  ``auth_rejects`` in the ``status`` reply.
 
 Results are **byte-identical** to a serial :func:`run_campaign` of the
 same matrix: shards funnel through the same
@@ -65,7 +69,6 @@ from pathlib import Path
 
 from ..exceptions import ClusterError, NetDebugError
 from .campaign import (
-    CampaignProgress,
     CampaignReport,
     ScenarioMatrix,
     ScenarioResult,
@@ -78,6 +81,7 @@ from .cluster import (
     ProgressPrinter,
     _add_matrix_args,
     _csv,
+    _finish_campaign,
     _matrix_from_args,
     _parse_address,
     normalize_tags,
@@ -301,6 +305,9 @@ class CampaignService:
         #: Campaigns ever accepted / completed (observability + tests).
         self.campaigns_seen = 0
         self.steals = 0
+        #: Connections dropped because their first frame failed to
+        #: arrive, verify or parse (wrong key, foreign frame kind).
+        self.auth_rejects = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -368,14 +375,15 @@ class CampaignService:
 
     def _serve_connection(self, conn: socket.socket, name: str) -> None:
         channel = Channel(conn, secret=self.secret)
-        # Pre-handshake the peer is untrusted: JSON frames only (a
-        # pickle frame is rejected by kind byte, never unpickled), a
-        # bounded wait, and — with a secret — a valid HMAC tag before
-        # the first byte of body is even parsed.
+        # Pre-handshake the peer is untrusted: a bounded wait, and —
+        # with a secret — a valid HMAC tag before the first byte of
+        # body is even parsed.
         conn.settimeout(10.0)
         try:
-            first = channel.recv(json_only=True)
+            first = channel.recv()
         except (ClusterError, OSError):
+            with self._cond:
+                self.auth_rejects += 1
             channel.close()
             return
         if first is None:
@@ -394,7 +402,11 @@ class CampaignService:
                 )
             elif kind == "status":
                 channel.send(
-                    {"type": "status", "campaigns": self.campaign_listing()}
+                    {
+                        "type": "status",
+                        "campaigns": self.campaign_listing(),
+                        "auth_rejects": self.auth_rejects,
+                    }
                 )
             elif kind == "gate":
                 self._handle_gate(channel, first)
@@ -485,7 +497,7 @@ class CampaignService:
     def _worker_recv_loop(self, worker: _FleetWorker) -> None:
         while True:
             try:
-                message = worker.channel.recv(json_only=True)
+                message = worker.channel.recv()
             except (OSError, ClusterError):
                 message = None
             if message is None:
@@ -969,7 +981,7 @@ class CampaignService:
         # EOF when the client goes away.
         while True:
             try:
-                follow_up = channel.recv(json_only=True)
+                follow_up = channel.recv()
             except (OSError, ClusterError):
                 follow_up = None
             if follow_up is None:
@@ -1255,12 +1267,7 @@ def main(argv: list[str] | None = None) -> int:
         report = handle.stream(
             on_result=None if args.quiet else ProgressPrinter()
         )
-        print(report.summary())
-        if args.out:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            report.save(out)
-            print(f"report written to {out}")
+        _finish_campaign(report, args)
         if args.gate_baseline:
             baseline = CampaignReport.from_dict(
                 json.loads(Path(args.gate_baseline).read_text())

@@ -1,32 +1,21 @@
-"""Length-prefixed socket framing for the cluster/service subsystems.
-
-The coordinator/worker protocol (:mod:`repro.netdebug.cluster`) ships
-two kinds of payload over one TCP connection:
-
-* **control messages** — hello, shutdown, remote errors — encoded as
-  JSON so they stay inspectable on the wire and a foreign worker
-  implementation could speak them;
-* **shard payloads** — job tuples carrying :class:`Scenario`/
-  :class:`Fault` objects and :class:`ScenarioResult` replies — encoded
-  with :mod:`pickle` on the legacy one-shot cluster path, or (the
-  service default) as plain JSON via the :func:`encode_job` /
-  :func:`decode_job` codec, which drops the trusted-network constraint
-  pickle imposes.
+"""Length-prefixed socket framing for the campaign service.
 
 Every frame is ``>IB`` (4-byte big-endian body length + 1 kind byte)
-followed by the body. :func:`recv_message` returns ``None`` on a clean
-EOF at a frame boundary and raises :class:`ClusterError` on a truncated
-frame, an unknown kind byte, or a body over :data:`MAX_FRAME_BYTES` —
-a corrupted length prefix must fail loudly, not allocate 4 GiB.
+followed by a JSON body. There is exactly one kind, :data:`KIND_JSON`:
+control messages (hello, welcome, shutdown, remote errors) and shard
+payloads alike are plain JSON, the latter via the :func:`encode_job` /
+:func:`decode_job` codec, so deserializing a frame never executes
+code. :func:`recv_message` returns ``None`` on a clean EOF at a frame
+boundary and raises :class:`ClusterError` on a truncated frame, an
+unknown kind byte (rejected before the body is read), or a body over
+:data:`MAX_FRAME_BYTES` — a corrupted length prefix must fail loudly,
+not allocate 4 GiB.
 
-Pickle frames execute arbitrary code on unpickling: the legacy cluster
-transport is for coordinator/worker fleets on hosts you already trust
-(the threat model of a lab's validation cluster), never for untrusted
-peers. The campaign *service* (:mod:`repro.netdebug.service`) instead
-speaks JSON-only frames authenticated with :class:`FrameAuth` —
+With a secret, frames are authenticated with :class:`FrameAuth` —
 HMAC-SHA256 over a per-direction sequence number, the kind byte and
 the body, keyed from ``REPRO_SERVICE_SECRET`` — so a stray or
-malicious peer can neither execute code nor replay captured frames.
+malicious peer can neither forge nor replay captured frames
+(:mod:`repro.netdebug.service`).
 """
 
 from __future__ import annotations
@@ -35,7 +24,6 @@ import hashlib
 import hmac as hmac_mod
 import json
 import os
-import pickle
 import socket
 import struct
 import threading
@@ -46,7 +34,6 @@ from ..target.artifact_cache import CACHE_VERSION
 __all__ = [
     "MAX_FRAME_BYTES",
     "KIND_JSON",
-    "KIND_PICKLE",
     "SECRET_ENV",
     "TAG_BYTES",
     "FrameAuth",
@@ -67,7 +54,6 @@ MAX_FRAME_BYTES = 1 << 28
 _HEADER = struct.Struct(">IB")
 
 KIND_JSON = 0x4A  # "J"
-KIND_PICKLE = 0x50  # "P"
 
 #: Environment variable the service's frame-authentication key comes
 #: from. Any non-empty byte string works; both ends must agree.
@@ -123,9 +109,9 @@ class FrameAuth:
 def stamp_cache_version(message: dict) -> dict:
     """Stamp a shard job frame with the artifact-cache format version.
 
-    Shard jobs are pickle payloads carrying compiled-artifact-adjacent
-    objects; a worker running an older build would deserialize them
-    into mismatched shapes and fail obscurely mid-shard. Stamping the
+    Shard jobs decode into scenario and fault objects that feed
+    compiled artifacts; a worker running an older build would rebuild
+    them into mismatched shapes and fail obscurely mid-shard. Stamping the
     :data:`~repro.target.artifact_cache.CACHE_VERSION` into the frame
     lets :func:`require_cache_version` reject the skew up front.
     """
@@ -175,49 +161,40 @@ def _recv_exact(sock: socket.socket, size: int) -> bytes | None:
 def send_message(
     sock: socket.socket,
     message: dict,
-    binary: bool = False,
     auth: FrameAuth | None = None,
     seq: int = 0,
 ) -> None:
-    """Send one framed message (``binary=True`` selects pickle).
+    """Send one framed JSON message.
 
     With ``auth`` set the frame body is followed by the
     :data:`TAG_BYTES`-byte HMAC tag over (``seq``, kind, body); ``seq``
     must be this connection's send counter for the tag to verify.
     """
-    if binary:
-        body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        kind = KIND_PICKLE
-    else:
-        body = json.dumps(message).encode()
-        kind = KIND_JSON
+    body = json.dumps(message).encode()
     if auth is not None:
-        body = body + auth.tag(seq, kind, body)
+        body = body + auth.tag(seq, KIND_JSON, body)
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"refusing to send a {len(body)}-byte frame "
             f"(limit {MAX_FRAME_BYTES})"
         )
-    sock.sendall(_HEADER.pack(len(body), kind) + body)
+    sock.sendall(_HEADER.pack(len(body), KIND_JSON) + body)
 
 
 def recv_message(
     sock: socket.socket,
-    json_only: bool = False,
     auth: FrameAuth | None = None,
     seq: int = 0,
 ) -> dict | None:
-    """Receive one framed message; ``None`` on clean EOF.
+    """Receive one framed JSON message; ``None`` on clean EOF.
 
-    ``json_only`` rejects pickle frames *without unpickling them* —
-    the receiver's guard for protocol phases where the peer is not yet
-    trusted (a coordinator's pre-hello window on an exposed listener
-    must never feed attacker bytes to ``pickle.loads``).
+    A frame of any other kind is refused by its header alone, before
+    its body is read.
 
     With ``auth`` set the frame must end in a valid HMAC tag for
     ``seq`` (this connection's receive counter); verification happens
     **before** the body is parsed, so unauthenticated bytes never
-    reach the JSON decoder, let alone ``pickle.loads``.
+    reach the JSON decoder.
     """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -228,11 +205,8 @@ def recv_message(
             f"frame length {length} exceeds limit {MAX_FRAME_BYTES}; "
             "corrupted length prefix?"
         )
-    if json_only and kind != KIND_JSON:
-        raise ClusterError(
-            "peer sent a non-JSON frame where only JSON control "
-            "messages are accepted"
-        )
+    if kind != KIND_JSON:
+        raise ClusterError(f"unknown frame kind byte {kind:#x}")
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise ClusterError("connection closed between header and body")
@@ -249,18 +223,10 @@ def recv_message(
                 f"frame authentication failed at sequence {seq}: bad "
                 "key, tampered body, or a replayed frame"
             )
-    if kind == KIND_JSON:
-        try:
-            message = json.loads(body)
-        except ValueError as exc:
-            raise ClusterError(f"undecodable JSON frame: {exc}") from exc
-    elif kind == KIND_PICKLE:
-        try:
-            message = pickle.loads(body)
-        except Exception as exc:
-            raise ClusterError(f"undecodable pickle frame: {exc}") from exc
-    else:
-        raise ClusterError(f"unknown frame kind byte {kind:#x}")
+    try:
+        message = json.loads(body)
+    except ValueError as exc:
+        raise ClusterError(f"undecodable JSON frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ClusterError(
             f"protocol messages must be dicts, got {type(message).__name__}"
@@ -271,7 +237,7 @@ def recv_message(
 def encode_job(
     epoch: int, scenario, faults, engine: str = "closure"
 ) -> dict:
-    """One ``run`` shard job as a pickle-free JSON payload.
+    """One ``run`` shard job as a JSON payload.
 
     The inverse of :func:`decode_job`. Scenario and fault objects go
     through the declarative campaign codec
@@ -315,10 +281,9 @@ def decode_job(payload: dict) -> tuple:
 class Channel:
     """A message channel over one connected socket.
 
-    Sends are serialized by a lock so a worker's pool callbacks (which
-    fire on multiprocessing's result-handler thread) can reply
-    concurrently with the main receive loop; receives are expected from
-    a single thread.
+    Sends are serialized by a lock so several threads (the service's
+    scheduler and a connection's receive loop both write to a worker)
+    can send concurrently; receives are expected from a single thread.
 
     With ``secret`` set every frame in both directions is HMAC-
     authenticated (:class:`FrameAuth`); the per-direction sequence
@@ -339,18 +304,16 @@ class Channel:
     def authenticated(self) -> bool:
         return self._auth is not None
 
-    def send(self, message: dict, binary: bool = False) -> None:
+    def send(self, message: dict) -> None:
         with self._send_lock:
             send_message(
-                self._sock, message, binary=binary,
-                auth=self._auth, seq=self._send_seq,
+                self._sock, message, auth=self._auth, seq=self._send_seq
             )
             self._send_seq += 1
 
-    def recv(self, json_only: bool = False) -> dict | None:
+    def recv(self) -> dict | None:
         message = recv_message(
-            self._sock, json_only=json_only,
-            auth=self._auth, seq=self._recv_seq,
+            self._sock, auth=self._auth, seq=self._recv_seq
         )
         if message is not None:
             self._recv_seq += 1

@@ -1,12 +1,11 @@
-"""The persistent compiled-artifact cache and its cluster version guard."""
+"""The persistent compiled-artifact cache and its worker version guard."""
 
 import pickle
 
 import pytest
 
-from repro.exceptions import ClusterError
 from repro.netdebug.campaign import run_campaign
-from repro.netdebug.cluster import _serve_inline
+from repro.netdebug.cluster import _service_execute
 from repro.netdebug.diffing import baseline_matrix
 from repro.netdebug.transport import (
     require_cache_version,
@@ -200,23 +199,6 @@ def test_disabled_cache_still_runs(monkeypatch):
 # Cluster version guard
 # ---------------------------------------------------------------------------
 
-class _ScriptedChannel:
-    """Feeds scripted messages to a worker serve loop; records sends."""
-
-    def __init__(self, messages):
-        self._messages = list(messages)
-        self.sent = []
-
-    def recv(self, json_only=False):
-        return self._messages.pop(0) if self._messages else None
-
-    def send(self, message, binary=False):
-        self.sent.append(message)
-
-    def close(self):
-        pass
-
-
 def test_stamp_and_require_round_trip():
     message = stamp_cache_version({"type": "job"})
     assert message["cache_version"] == CACHE_VERSION
@@ -225,17 +207,20 @@ def test_stamp_and_require_round_trip():
 
 def test_worker_rejects_version_skew():
     for bad in ({}, {"cache_version": CACHE_VERSION + 1}):
-        message = {"type": "job", "id": 0, "fn": "run", "job": (), **bad}
-        with pytest.raises(ClusterError, match="skewed"):
-            _serve_inline(_ScriptedChannel([message]), None)
+        message = {"type": "job", "assignment": 1, "id": 0, "fn": "run",
+                   "job": {}, **bad}
+        reply = _service_execute(message)
+        assert reply["type"] == "error"
+        assert "skewed" in reply["error"]
 
 
 def test_worker_accepts_current_version():
-    """A correctly stamped frame flows through to shard execution (the
+    """A correctly stamped frame flows through to job decoding (the
     bogus job then fails, proving the guard was passed)."""
     message = stamp_cache_version(
-        {"type": "job", "id": 0, "fn": "run", "job": ()}
+        {"type": "job", "assignment": 1, "id": 0, "fn": "run", "job": {}}
     )
-    channel = _ScriptedChannel([message])
-    _serve_inline(channel, None)
-    assert channel.sent and channel.sent[0]["type"] == "error"
+    reply = _service_execute(message)
+    assert reply["type"] == "error"
+    assert "skewed" not in reply["error"]
+    assert "malformed JSON job" in reply["error"]

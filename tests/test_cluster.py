@@ -1,29 +1,31 @@
-"""Cluster subsystem tests: transport framing, coordinator/worker
-dispatch, streaming ingest, fault-tolerant requeue, and the
+"""Cluster subsystem tests: transport framing, the service-backed
+localhost launcher, streaming ingest, fault-tolerant requeue, and the
 byte-identical determinism contract across serial / pool / cluster."""
 
+import multiprocessing
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.exceptions import ClusterError
 from repro.netdebug.campaign import (
     ScenarioMatrix,
-    SerialExecutor,
     ShardExecutor,
     assemble_report,
     run_campaign,
 )
+from repro.netdebug import cluster
+from repro.netdebug.client import ServiceClient
 from repro.netdebug.cluster import (
-    ClusterExecutor,
     ProgressPrinter,
-    SHARD_FUNCTIONS,
     main,
     run_cluster_campaign,
 )
 from repro.netdebug.controller import NetDebugController
+from repro.netdebug.service import CampaignService
 from repro.netdebug.transport import (
     Channel,
     MAX_FRAME_BYTES,
@@ -60,14 +62,6 @@ class TestTransport:
         send_message(a, {"type": "hello", "slots": 3})
         assert recv_message(b) == {"type": "hello", "slots": 3}
 
-    def test_pickle_round_trip_carries_objects(self):
-        a, b = self.socket_pair()
-        scenario_matrix = small_matrix()
-        send_message(a, {"type": "job", "job": scenario_matrix},
-                     binary=True)
-        message = recv_message(b)
-        assert message["job"].programs == scenario_matrix.programs
-
     def test_clean_eof_returns_none(self):
         a, b = self.socket_pair()
         a.close()
@@ -89,12 +83,13 @@ class TestTransport:
             recv_message(b)
 
     def test_json_only_rejects_pickle_frames_unparsed(self):
-        # The coordinator's pre-hello guard: a pickle frame from an
-        # untrusted peer is refused by kind byte, never unpickled.
+        # The wire is JSON-only: a pickle-kind (0x50) frame is refused
+        # by its header alone, before its body is even read.
         a, b = self.socket_pair()
-        send_message(a, {"type": "hello"}, binary=True)
-        with pytest.raises(ClusterError, match="only JSON"):
-            recv_message(b, json_only=True)
+        a.sendall(b"\x00\x00\x00\x05\x50" + b"body!")
+        with pytest.raises(ClusterError, match="kind byte 0x50"):
+            recv_message(b)
+        assert b.recv(5) == b"body!"
 
     def test_unknown_kind_byte_rejected(self):
         a, b = self.socket_pair()
@@ -148,15 +143,6 @@ class TestClusterDeterminism:
         assert serial.to_json() == pooled.to_json()
         assert serial.to_json() == clustered.to_json()
 
-    def test_pool_mode_worker_byte_identical(self):
-        # One worker backed by a 2-slot local pool (the many-core shape).
-        matrix = small_matrix(programs=["strict_parser"])
-        serial = run_campaign(matrix, workers=1, name="slots")
-        clustered = run_cluster_campaign(
-            matrix, workers=1, slots=2, name="slots", timeout=300
-        )
-        assert serial.to_json() == clustered.to_json()
-
     def test_cluster_streams_results_with_progress(self):
         matrix = small_matrix(programs=["strict_parser"])
         events = []
@@ -176,21 +162,6 @@ class TestClusterDeterminism:
             s.key for s in matrix.expand()
         }
 
-    def test_record_dir_works_through_the_cluster(self, tmp_path):
-        matrix = small_matrix(programs=["strict_parser"])
-        recorded = run_cluster_campaign(
-            matrix, workers=2, name="gold", record_dir=tmp_path,
-            timeout=300,
-        )
-        assert (tmp_path / "gold.manifest.json").exists()
-        assert (tmp_path / "scenario-0000.pcap").exists()
-        from repro.netdebug.campaign import replay_campaign
-
-        replayed = replay_campaign(tmp_path, name="gold")
-        assert [r.verdict for r in replayed.results] == [
-            r.verdict for r in recorded.results
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Fault tolerance
@@ -200,61 +171,57 @@ class TestFaultTolerance:
     def test_worker_crash_mid_shard_requeues_and_stays_deterministic(self):
         matrix = small_matrix()
         serial = run_campaign(matrix, workers=1, name="crash")
-        executor = ClusterExecutor(
-            local_workers=2, crash_after=1, timeout=300
+        survived = run_cluster_campaign(
+            matrix, workers=2, name="crash", crash_after=1, timeout=300
         )
-        survived = run_campaign(matrix, name="crash", executor=executor)
-        assert executor.requeues >= 1  # the dead worker's shard moved
-        assert executor.workers_seen == 2
+        # The dead worker's shard moved to the survivor.
+        assert survived.meta["service"]["requeues"] >= 1
         assert serial.to_json() == survived.to_json()
 
     def test_retry_budget_exhaustion_raises_cluster_error(self):
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
-        executor = ClusterExecutor(
-            local_workers=1, crash_after=0, retry_budget=0, timeout=60
-        )
+        started = time.monotonic()
         with pytest.raises(
             ClusterError, match="retry budget|every worker exited"
         ):
-            run_campaign(matrix, name="doomed", executor=executor)
+            run_cluster_campaign(
+                matrix, workers=1, name="doomed", crash_after=0,
+                retry_budget=0, timeout=60,
+            )
+        assert time.monotonic() - started < 60
 
     def test_all_workers_lost_raises_instead_of_hanging(self):
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
-        executor = ClusterExecutor(
-            local_workers=1, crash_after=0, retry_budget=10, timeout=60
-        )
+        started = time.monotonic()
         with pytest.raises(
             ClusterError, match="every worker exited|retry budget"
         ):
-            run_campaign(matrix, name="lost", executor=executor)
+            run_cluster_campaign(
+                matrix, workers=1, name="lost", crash_after=0,
+                retry_budget=10, timeout=60,
+            )
+        assert time.monotonic() - started < 60
 
-    def test_external_fleet_death_raises_without_liveness_hook(self):
-        # External-worker mode has no local processes to poll: the
-        # coordinator itself must notice the last connected worker
-        # vanishing mid-shard and abort instead of hanging forever.
-        from repro.netdebug.campaign import _EPOCH_COUNTER
-        from repro.netdebug.cluster import Coordinator
-        from repro.netdebug.transport import recv_message, send_message
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stalled worker is a fork of the patched module",
+    )
+    def test_timeout_ends_a_stalled_campaign(self, monkeypatch):
+        # A live worker stuck in a shard must not hang the launcher:
+        # the timeout closes the service and ends the stream.
+        def stalled(message):
+            time.sleep(1.0)
+            return {"type": "error", "error": "stalled"}
 
+        monkeypatch.setattr(cluster, "_service_execute", stalled)
         matrix = small_matrix(programs=["strict_parser"],
                               targets=["reference"], workloads=["udp"])
-        jobs = [
-            (next(_EPOCH_COUNTER), scenario, (), False)
-            for scenario in matrix.expand()
-        ]
-        coordinator = Coordinator(timeout=30, retry_budget=10)
-
-        def vanishing_worker():
-            sock = socket.create_connection(coordinator.address)
-            send_message(sock, {"type": "hello", "slots": 1})
-            recv_message(sock)  # accept a shard, then drop dead
-            sock.close()
-
-        threading.Thread(target=vanishing_worker, daemon=True).start()
-        with pytest.raises(ClusterError, match="every worker exited"):
-            coordinator.run(jobs, "run")
+        with pytest.raises(ClusterError, match="timed out after 0.3s"):
+            run_cluster_campaign(
+                matrix, workers=1, name="stalled", timeout=0.3
+            )
 
     def test_worker_socket_has_no_lingering_connect_timeout(self):
         # The connect timeout must not apply to later recv()s: an idle
@@ -268,38 +235,44 @@ class TestFaultTolerance:
         listener.close()
 
     def test_malformed_result_message_fails_loudly(self):
-        # A foreign worker replying without a 'result' key (and with a
-        # bogus id) must abort the campaign with ClusterError, not
+        # A foreign service worker replying with a result that cannot
+        # be decoded must fail the campaign with ClusterError, not
         # strand the shard or corrupt the result map.
-        from repro.netdebug.campaign import _EPOCH_COUNTER
-        from repro.netdebug.cluster import Coordinator
-        from repro.netdebug.transport import recv_message, send_message
-
-        matrix = small_matrix(programs=["strict_parser"],
-                              targets=["reference"], workloads=["udp"])
-        jobs = [
-            (next(_EPOCH_COUNTER), scenario, (), False)
-            for scenario in matrix.expand()
-        ]
-        coordinator = Coordinator(timeout=30)
+        secret = "rogue-test-secret"
+        service = CampaignService(secret=secret).start()
 
         def rogue_worker():
-            sock = socket.create_connection(coordinator.address)
-            send_message(sock, {"type": "hello", "slots": 1})
-            recv_message(sock)  # take the job...
-            send_message(sock, {"type": "result", "id": 999})  # ...bungle it
+            sock = socket.create_connection(service.address)
+            channel = Channel(sock, secret=secret)
+            channel.send(
+                {"type": "hello", "mode": "service", "session": "rogue"}
+            )
+            try:
+                channel.recv()  # welcome
+                job = channel.recv()  # take the job...
+                channel.send(  # ...bungle it
+                    {
+                        "type": "result",
+                        "assignment": job["assignment"],
+                        "result": {"bogus": True},
+                    }
+                )
+                channel.recv()  # the ack
+            finally:
+                channel.close()
 
         threading.Thread(target=rogue_worker, daemon=True).start()
-        with pytest.raises(ClusterError, match="malformed result"):
-            coordinator.run(jobs, "run")
-
-    def test_unregistered_shard_fn_rejected(self):
-        executor = ClusterExecutor(local_workers=1)
-        with pytest.raises(ClusterError, match="registered shard"):
-            executor.execute([], lambda job: job)
-
-    def test_shard_function_registry_names_run_and_replay(self):
-        assert set(SHARD_FUNCTIONS) == {"run", "replay"}
+        matrix = small_matrix(programs=["strict_parser"],
+                              targets=["reference"], workloads=["udp"])
+        try:
+            handle = ServiceClient(
+                service.address, secret=secret, timeout=30.0
+            ).submit(matrix, name="rogue")
+            with pytest.raises(ClusterError, match="undecodable result"):
+                handle.result()
+            handle.close()
+        finally:
+            service.close()
 
 
 # ---------------------------------------------------------------------------
@@ -414,5 +387,9 @@ class TestIntegration:
         assert CampaignReport.load(out_file).to_json() == serial.to_json()
 
     def test_cli_bad_address_exits_2(self, capsys):
-        assert main(["worker", "--connect", "nonsense"]) == 2
+        from repro.netdebug import service
+
+        assert service.main(
+            ["worker", "--connect", "nonsense", "--insecure"]
+        ) == 2
         assert "HOST:PORT" in capsys.readouterr().err

@@ -6,7 +6,7 @@ The contract under test (the service acceptance criteria):
 * frame fuzz — an HMAC-authenticated channel rejects truncated tags,
   wrong keys, tampered bodies, replayed frames, oversize frames and
   non-JSON kind bytes, and a pickle frame sent at the service is
-  refused **without ever being unpickled**;
+  refused **without ever being unpickled**, and counted;
 * job frames are data, never code: the codec round-trips declarative
   scenarios/faults and refuses predicate-carrying faults;
 * two concurrent campaigns from different tenants both complete
@@ -19,9 +19,9 @@ The contract under test (the service acceptance criteria):
   campaign no fleet member could ever run fails loudly.
 """
 
+import pickle
 import socket
 import struct
-import threading
 import time
 
 import pytest
@@ -44,7 +44,6 @@ from repro.netdebug.transport import (
     FrameAuth,
     KIND_JSON,
     MAX_FRAME_BYTES,
-    TAG_BYTES,
     decode_job,
     encode_job,
     recv_message,
@@ -136,8 +135,8 @@ class TestFrameAuth:
     def test_unknown_kind_byte_rejected_by_json_only(self):
         a, b = self.pair()
         a.sendall(_HEADER.pack(2, 0x5A) + b"{}")
-        with pytest.raises(ClusterError, match="only JSON"):
-            recv_message(b, json_only=True, auth=FrameAuth(SECRET))
+        with pytest.raises(ClusterError, match="kind byte 0x5a"):
+            recv_message(b, auth=FrameAuth(SECRET))
 
 
 # A class whose unpickling has an observable side effect: if the
@@ -160,7 +159,8 @@ def test_service_rejects_pickle_frames_without_unpickling():
     try:
         sock = socket.create_connection(service.address, timeout=10.0)
         try:
-            send_message(sock, {"job": Boom()}, binary=True)
+            body = pickle.dumps({"job": Boom()})
+            sock.sendall(_HEADER.pack(len(body), 0x50) + body)
             sock.settimeout(10.0)
             # The daemon drops the connection by kind byte alone.
             assert sock.recv(1) == b""
@@ -179,8 +179,28 @@ def test_authenticated_service_rejects_wrong_key_client():
         )
         with pytest.raises(ClusterError):
             client.workers()
+        # The dropped connection is counted, and the count is reported.
+        channel = Channel(
+            socket.create_connection(service.address, timeout=10.0),
+            secret=SECRET,
+        )
+        channel.send({"type": "status"})
+        assert channel.recv()["auth_rejects"] == 1
+        channel.close()
     finally:
         service.close()
+
+
+def test_submit_refuses_the_compress_flag():
+    # Service submissions always run the full matrix, so the CLI must
+    # not offer --compress (it used to be accepted and ignored).
+    from repro.netdebug import service
+
+    with pytest.raises(SystemExit):
+        service.main(
+            ["submit", "--connect", "127.0.0.1:1", "--insecure",
+             "--compress"]
+        )
 
 
 # ---------------------------------------------------------------------------
