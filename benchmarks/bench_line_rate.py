@@ -109,10 +109,8 @@ def test_compiled_fastpath_speedup(benchmark):
         p.pack() for p in udp_stream(default_flow(), load, size=128)
     ]
 
-    def run_mode(use_compiled):
-        device = make_reference_device(
-            f"fastpath-{use_compiled}", use_compiled=use_compiled
-        )
+    def run_mode(engine):
+        device = make_reference_device(f"fastpath-{engine}", engine=engine)
         device.load(strict_parser(forward_port=0))
         device.inject(wires[0])  # warm caches / compile
         best = float("inf")
@@ -127,8 +125,8 @@ def test_compiled_fastpath_speedup(benchmark):
         return best, verdicts
 
     def experiment():
-        fast_s, fast_verdicts = run_mode(True)
-        slow_s, slow_verdicts = run_mode(False)
+        fast_s, fast_verdicts = run_mode("closure")
+        slow_s, slow_verdicts = run_mode("tree")
         return fast_s, slow_s, fast_verdicts, slow_verdicts
 
     fast_s, slow_s, fast_verdicts, slow_verdicts = benchmark.pedantic(

@@ -443,42 +443,14 @@ def _build_program(name: str) -> P4Program:
     return PROGRAMS[name]()  # type: ignore[operator]
 
 
-def _cycle_times(bundle, device: NetworkDevice) -> list[int] | None:
+def _cycle_times(
+    times_ns: tuple[float, ...] | None, device: NetworkDevice
+) -> list[int] | None:
     """A workload's arrival process (ns) as device-clock timestamps;
     ``None`` for untimed workloads (inject at the device clock)."""
-    if bundle.times_ns is None:
+    if times_ns is None:
         return None
-    return [
-        int(t * device.limits.clock_mhz / 1e3) for t in bundle.times_ns
-    ]
-
-
-def _scenario_times_ns(scenario: "Scenario") -> tuple[float, ...] | None:
-    """The scenario's workload arrival process (ns); ``None`` when the
-    workload is untimed. A zero-count probe (times ``()`` vs ``None``)
-    avoids generating packets just to learn there are no times."""
-    flow = default_flow(stable_hash64(scenario.key) % 8)
-    probe = build_workload(scenario.workload, flow, 0, seed=scenario.seed)
-    if probe.times_ns is None:
-        return None
-    return build_workload(
-        scenario.workload, flow, scenario.count, seed=scenario.seed
-    ).times_ns
-
-
-def _scenario_ingress_ports(
-    scenario: "Scenario",
-) -> tuple[int, ...] | None:
-    """The scenario's per-packet ingress ports; ``None`` when the
-    workload is directionless (everything on port 0). Same zero-count
-    probe trick as :func:`_scenario_times_ns`."""
-    flow = default_flow(stable_hash64(scenario.key) % 8)
-    probe = build_workload(scenario.workload, flow, 0, seed=scenario.seed)
-    if probe.ingress_ports is None:
-        return None
-    return build_workload(
-        scenario.workload, flow, scenario.count, seed=scenario.seed
-    ).ingress_ports
+    return [int(t * device.limits.clock_mhz / 1e3) for t in times_ns]
 
 
 def _shard_device(
@@ -612,8 +584,11 @@ def _grade_sla(scenario: "Scenario", report: SessionReport,
         )
 
 
-def _run_shard(job: tuple) -> "ScenarioResult":
-    epoch, scenario, faults, keep_suite, engine, oracle_factory = job
+def _shard_start(
+    epoch: int, scenario: Scenario, faults, engine: str
+) -> tuple[NetworkDevice, dict[str, int]]:
+    """A shard's device with its faults armed, plus the artifact-cache
+    counter movement acquiring it cost."""
     cache_before = artifact_cache.stats_snapshot()
     device = _shard_device(
         epoch, scenario.program, scenario.target, scenario.setup, engine
@@ -621,6 +596,32 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     cache_delta = artifact_cache.stats_delta(cache_before)
     for fault in faults:
         device.injector.inject(fault)
+    return device, cache_delta
+
+
+def _shard_result(
+    scenario: Scenario,
+    device: NetworkDevice,
+    report: SessionReport,
+    cache_delta: dict[str, int],
+    **extra,
+) -> "ScenarioResult":
+    """Stamp the device's cycle measurements on ``report`` and wrap it."""
+    report.measurements["clock_cycles"] = float(device.clock_cycles)
+    report.measurements["cycles_per_packet"] = (
+        device.clock_cycles / report.injected if report.injected else 0.0
+    )
+    return ScenarioResult(
+        scenario=scenario,
+        report=report,
+        cache_stats=cache_delta if any(cache_delta.values()) else None,
+        **extra,
+    )
+
+
+def _run_shard(job: tuple) -> "ScenarioResult":
+    epoch, scenario, faults, keep_suite, engine, oracle_factory = job
+    device, cache_delta = _shard_start(epoch, scenario, faults, engine)
 
     # Flow AND seed derive from the scenario key, never its matrix
     # position: growing the matrix must leave pre-existing scenarios'
@@ -649,7 +650,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     # validate byte-exactly; untimed workloads inject at the device
     # clock, which the oracle cannot see, so they keep predicting at 0.
     # Likewise the workload's per-packet ingress ports feed both sides.
-    cycle_times = _cycle_times(bundle, device)
+    cycle_times = _cycle_times(bundle.times_ns, device)
     ports = (
         list(bundle.ingress_ports)
         if bundle.ingress_ports is not None
@@ -680,8 +681,7 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         streams=[
             StreamSpec(
                 stream_id=scenario.index + 1,
-                packets=list(bundle.packets),
-                fix_checksums=False,
+                packets=frames,
                 timestamps=cycle_times,
                 ingress_ports=ports,
             )
@@ -692,10 +692,6 @@ def _run_shard(job: tuple) -> "ScenarioResult":
     report = run_session(device, session)
     if sampler is not None:
         _grade_sla(scenario, report, sampler)
-    report.measurements["clock_cycles"] = float(device.clock_cycles)
-    report.measurements["cycles_per_packet"] = (
-        device.clock_cycles / report.injected if report.injected else 0.0
-    )
     suite = (
         RegressionSuite(
             _suite_name(scenario), list(frames), list(expectations)
@@ -703,11 +699,11 @@ def _run_shard(job: tuple) -> "ScenarioResult":
         if keep_suite
         else None
     )
-    return ScenarioResult(
-        scenario=scenario,
-        report=report,
+    return _shard_result(
+        scenario, device, report, cache_delta,
         suite=suite,
-        cache_stats=cache_delta if any(cache_delta.values()) else None,
+        times_ns=bundle.times_ns,
+        ingress_ports=bundle.ingress_ports,
         coverage=bundle.coverage,
     )
 
@@ -719,40 +715,18 @@ def _suite_name(scenario: Scenario) -> str:
 def _replay_shard(job: tuple) -> "ScenarioResult":
     epoch, scenario, faults, directory, times_ns, engine, ports = job
     suite = RegressionSuite.load(directory, _suite_name(scenario))
-    cache_before = artifact_cache.stats_snapshot()
-    device = _shard_device(
-        epoch, scenario.program, scenario.target, scenario.setup, engine
-    )
-    cache_delta = artifact_cache.stats_delta(cache_before)
-    for fault in faults:
-        device.injector.inject(fault)
+    device, cache_delta = _shard_start(epoch, scenario, faults, engine)
     # Replay at the *recorded* injection timestamps (the manifest
     # persists the workload's arrival process): recorded expectations
     # pin exact bytes, so time-stamping programs only reproduce their
     # recording when the clock readings match — and reading the times
     # from the artifact keeps old recordings replayable even after the
     # live traffic generators change.
-    timestamps = (
-        [
-            int(t * device.limits.clock_mhz / 1e3)
-            for t in times_ns
-        ]
-        if times_ns is not None
-        else None
-    )
     report = replay_suite(
-        device, suite, timestamps=timestamps,
+        device, suite, timestamps=_cycle_times(times_ns, device),
         ports=list(ports) if ports is not None else None,
     )
-    report.measurements["clock_cycles"] = float(device.clock_cycles)
-    report.measurements["cycles_per_packet"] = (
-        device.clock_cycles / report.injected if report.injected else 0.0
-    )
-    return ScenarioResult(
-        scenario=scenario,
-        report=report,
-        cache_stats=cache_delta if any(cache_delta.values()) else None,
-    )
+    return _shard_result(scenario, device, report, cache_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +739,13 @@ class ScenarioResult:
 
     scenario: Scenario
     report: SessionReport
-    #: Present only while recording (dropped before reports are returned).
+    #: Transient, never serialized and dropped before reports are
+    #: returned: the recorded suite (only while recording) and the
+    #: workload's arrival process (ns) and per-packet ingress ports,
+    #: which the campaign manifest persists.
     suite: RegressionSuite | None = None
+    times_ns: tuple[float, ...] | None = None
+    ingress_ports: tuple[int, ...] | None = None
     #: Compile-cache counter movement while acquiring this shard's
     #: device (hits/misses/stores/memory_hits), or None when nothing
     #: moved. Like ``suite``, deliberately NOT serialized: the golden
@@ -1265,9 +1244,9 @@ def run_campaign(
         directory.mkdir(parents=True, exist_ok=True)
         for result in report.results:
             result.suite.save(directory)
-        _write_manifest(directory, name, matrix, scenarios)
+        _write_manifest(directory, name, matrix, report.results)
     for result in report.results:
-        result.suite = None
+        result.suite = result.times_ns = result.ingress_ports = None
     return report
 
 
@@ -1366,11 +1345,43 @@ def matrix_from_dict(data: dict) -> ScenarioMatrix:
     )
 
 
+def _manifest_entry(result: ScenarioResult) -> dict:
+    """One recorded scenario, as the campaign manifest lists it."""
+    s = result.scenario
+    entry = {
+        "index": s.index,
+        "program": s.program,
+        "target": s.target,
+        "fault": s.fault,
+        "workload": s.workload,
+        "count": s.count,
+        "seed": s.seed,
+        "setup": s.setup,
+        "suite": _suite_name(s),
+    }
+    # Optional keys are conditional for manifest stability. The SLA is
+    # provenance only (replay grades recorded expectations, not live
+    # latency). Timed workloads persist their arrival process (ns) and
+    # directional ones their per-packet ingress ports: recorded
+    # expectations pin bytes that may derive from injection time and
+    # port, so replay must not depend on the *live* generators still
+    # producing them.
+    if s.sla_p99_cycles is not None:
+        entry["sla_p99_cycles"] = s.sla_p99_cycles
+    if result.times_ns is not None:
+        entry["times_ns"] = list(result.times_ns)
+    if result.ingress_ports is not None:
+        entry["ingress_ports"] = list(result.ingress_ports)
+    if s.oracle != "stateless":
+        entry["oracle"] = s.oracle
+    return entry
+
+
 def _write_manifest(
     directory: Path,
     name: str,
     matrix: ScenarioMatrix,
-    scenarios: list[Scenario],
+    results: list[ScenarioResult],
 ) -> Path:
     payload = {
         "name": name,
@@ -1378,51 +1389,7 @@ def _write_manifest(
             label: [_fault_to_dict(f) for f in fault_set]
             for label, fault_set in matrix.faults.items()
         },
-        "scenarios": [
-            {
-                "index": s.index,
-                "program": s.program,
-                "target": s.target,
-                "fault": s.fault,
-                "workload": s.workload,
-                "count": s.count,
-                "seed": s.seed,
-                "setup": s.setup,
-                "suite": _suite_name(s),
-                # Conditional for manifest stability; recorded for
-                # provenance only (replay grades recorded expectations,
-                # not live latency).
-                **(
-                    {"sla_p99_cycles": s.sla_p99_cycles}
-                    if s.sla_p99_cycles is not None
-                    else {}
-                ),
-                # Timed workloads persist their arrival process (ns):
-                # the recorded expectations pin bytes that may derive
-                # from injection time, so replay must not depend on
-                # the *live* generators still producing these times.
-                **(
-                    {"times_ns": list(times_ns)}
-                    if (times_ns := _scenario_times_ns(s)) is not None
-                    else {}
-                ),
-                # Directional workloads persist their per-packet
-                # ingress ports for the same reason: recorded
-                # expectations are only reproducible when replay
-                # injects each packet on the port it was recorded on.
-                **(
-                    {"ingress_ports": list(ports)}
-                    if (ports := _scenario_ingress_ports(s)) is not None
-                    else {}
-                ),
-                **(
-                    {"oracle": s.oracle}
-                    if s.oracle != "stateless"
-                    else {}
-                ),
-            }
-            for s in scenarios
-        ],
+        "scenarios": [_manifest_entry(result) for result in results],
     }
     path = directory / f"{name}.manifest.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -423,10 +423,6 @@ def _coverage_workload(
     small to hold it is refused loudly rather than silently weakening
     the all-paths-exercised claim.
     """
-    if count == 0:
-        # The campaign manifest probe (count=0) must stay cheap and
-        # context-free; an empty bundle carries no times/ports anyway.
-        return WorkloadBundle("coverage", ())
     if context is None:
         raise SimulationError(
             "workload 'coverage' derives its packets from the program "

@@ -76,8 +76,10 @@ class StreamSpec:
         rate_pps: Injection rate for timed runs; ignored by the
             synchronous path.
         fix_checksums: Recompute IP/L4 checksums after sweeps/fuzzing.
-        packets: Alternative to template+sweeps — an explicit packet
-            iterable (takes precedence when set).
+        packets: Alternative to template+sweeps — an explicit list of
+            packets (takes precedence when set). Entries may be
+            :class:`Packet` objects or wire ``bytes``; bytes are
+            injected exactly as given.
         timestamps: Optional per-packet injection timestamps (one per
             packet, device-clock units). Workloads with their own
             arrival process (e.g. poisson) carry it here; packets
@@ -97,16 +99,15 @@ class StreamSpec:
     inject_at: str = TAP_INPUT
     rate_pps: float = 1e6
     fix_checksums: bool = True
-    packets: list[Packet] | None = None
+    packets: list[Packet | bytes] | None = None
     timestamps: list[int] | None = None
     ingress_ports: list[int] | None = None
 
     def timestamp_at(self, seq_no: int, default: int) -> int:
         """The injection timestamp for packet ``seq_no``: the stream's
         own arrival process when it defines one, else ``default`` (the
-        device clock). Both injection paths (session lockstep and
-        generator run_stream) route through this so their fallback
-        semantics cannot diverge."""
+        device clock). Every injection path reads it through
+        :meth:`wires`, so their fallback semantics cannot diverge."""
         if self.timestamps is not None and seq_no < len(self.timestamps):
             return self.timestamps[seq_no]
         return default
@@ -122,6 +123,32 @@ class StreamSpec:
         ):
             return self.ingress_ports[seq_no]
         return 0
+
+    def packet_count(self) -> int:
+        """How many packets the stream injects."""
+        return len(self.packets) if self.packets is not None else self.count
+
+    def wires(self, clock: Callable[[], int]) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(timestamp, wire)`` per packet: the one place a
+        stream becomes wire frames.
+
+        ``clock()`` is read as each packet is reached, so a consumer
+        that injects a frame before advancing stamps it at its own
+        injection (see :meth:`timestamp_at`). Bytes entries pass through
+        unchanged; a wrapped stream puts each frame in a probe carrying
+        that timestamp.
+        """
+        entries = (
+            self.packets if self.packets is not None else self.materialize()
+        )
+        for seq_no, entry in enumerate(entries):
+            timestamp = self.timestamp_at(seq_no, clock())
+            wire = entry if isinstance(entry, bytes) else entry.pack()
+            if self.wrap:
+                wire = make_probe(
+                    self.stream_id, seq_no, timestamp=timestamp, inner=wire
+                ).pack()
+            yield timestamp, wire
 
     def materialize(self) -> Iterator[Packet]:
         """Produce the stream's packets, applying sweeps and fuzzing."""
@@ -148,6 +175,32 @@ class StreamSpec:
             if self.fix_checksums and packet.has("ipv4"):
                 update_all_checksums(packet)
             yield packet
+
+
+#: Frames per :meth:`~repro.target.device.NetworkDevice.inject_block`
+#: call. Checking each block before the next keeps fewer pipeline results
+#: alive than one young gc generation holds; a whole 200-packet stream
+#: gets promoted and rescanned, about 3x the gc work of lockstep.
+BLOCK_FRAMES = 16
+
+
+def inject_blocks(
+    device: NetworkDevice, stream: StreamSpec, clock: Callable[[], int]
+) -> Iterator[tuple[int, bytes, TargetRun]]:
+    """Inject ``stream`` at the input tap in blocks of
+    :data:`BLOCK_FRAMES`, yielding ``(timestamp, wire, run)`` per frame;
+    each block continues the clock, as one whole-stream block would."""
+    wires = [wire for _, wire in stream.wires(clock)]
+    times, ports = stream.timestamps, stream.ingress_ports
+    for start in range(0, len(wires), BLOCK_FRAMES):
+        cut = slice(start, start + BLOCK_FRAMES)
+        outcomes = device.inject_block(
+            wires[cut],
+            timestamps=times and times[cut],
+            ports=ports and ports[cut],
+        )
+        for (timestamp, run), wire in zip(outcomes, wires[cut]):
+            yield timestamp, wire, run
 
 
 @dataclass
@@ -187,6 +240,15 @@ class PacketGenerator:
     def streams(self) -> list[StreamSpec]:
         return list(self._streams.values())
 
+    def _stream(self, stream_id: int) -> StreamSpec:
+        try:
+            return self._streams[stream_id]
+        except KeyError:
+            raise NetDebugError(f"no stream {stream_id}") from None
+
+    def _clock(self) -> int:
+        return self._device.clock_cycles
+
     # ------------------------------------------------------------------
     # Synchronous injection (functional testing)
     # ------------------------------------------------------------------
@@ -200,66 +262,29 @@ class PacketGenerator:
         Each injected packet's :class:`TargetRun` is recorded, mirroring
         the hardware generator's completion feedback to the software tool.
         """
-        try:
-            stream = self._streams[stream_id]
-        except KeyError:
-            raise NetDebugError(f"no stream {stream_id}") from None
-
-        # Bare streams with no per-packet callback take the block path:
-        # all wires are materialized up front and handed to the device
-        # in one call, amortizing per-packet setup — the shape a
-        # hardware generator has, where the stream program is compiled
-        # once and packets are emitted back to back. inject_block runs
-        # the batch kernel when the device's engine has one (and falls
-        # back to the per-packet pipeline transparently when taps or
-        # armed faults need it), carrying the stream's own arrival
-        # process and per-packet ingress ports; only a non-input
-        # injection tap still needs inject_batch, which is tap-generic.
-        batchable = not stream.wrap and on_injected is None
-        if batchable and stream.inject_at == TAP_INPUT:
-            wires = [packet.pack() for packet in stream.materialize()]
-            injected = self._device.inject_block(
-                wires,
-                timestamps=stream.timestamps,
-                ports=stream.ingress_ports,
-            )
-        elif (
-            batchable
-            and stream.timestamps is None
-            and stream.ingress_ports is None
+        stream = self._stream(stream_id)
+        # Bare input-tap streams with no per-packet callback go to the
+        # device in blocks — the shape a hardware generator has,
+        # emitting a compiled stream program back to back. The device
+        # decides whether a block runs on the batch kernel.
+        if (
+            not stream.wrap
+            and on_injected is None
+            and stream.inject_at == TAP_INPUT
         ):
-            # inject_block only enters at the input tap; other taps
-            # keep the tap-generic batch loop (these streams carry no
-            # arrival process or per-packet ports of their own).
-            wires = [packet.pack() for packet in stream.materialize()]
-            injected = self._device.inject_batch(
-                wires, at=stream.inject_at
-            )
-        else:
-            injected = None
-        if injected is not None:
             records = [
-                InjectionRecord(
-                    stream.stream_id, seq_no, wires[seq_no], timestamp,
-                    run=run,
+                InjectionRecord(stream.stream_id, seq_no, wire, timestamp, run)
+                for seq_no, (timestamp, wire, run) in enumerate(
+                    inject_blocks(self._device, stream, self._clock)
                 )
-                for seq_no, (timestamp, run) in enumerate(injected)
             ]
             self.injected.extend(records)
             return records
 
         records: list[InjectionRecord] = []
-        for seq_no, packet in enumerate(stream.materialize()):
-            timestamp = stream.timestamp_at(
-                seq_no, self._device.clock_cycles
-            )
-            if stream.wrap:
-                wire = make_probe(
-                    stream.stream_id, seq_no, timestamp=timestamp,
-                    inner=packet,
-                ).pack()
-            else:
-                wire = packet.pack()
+        for seq_no, (timestamp, wire) in enumerate(
+            stream.wires(self._clock)
+        ):
             record = InjectionRecord(
                 stream.stream_id, seq_no, wire, timestamp
             )
@@ -284,31 +309,28 @@ class PacketGenerator:
     # Timed injection (performance testing under a simulator)
     # ------------------------------------------------------------------
     def schedule_stream(self, stream_id: int, sim, start_ns: float = 0.0):
-        """Schedule a stream's injections on a simulator at its rate."""
-        try:
-            stream = self._streams[stream_id]
-        except KeyError:
-            raise NetDebugError(f"no stream {stream_id}") from None
-        gap = 1e9 / stream.rate_pps
-        packets = list(stream.materialize())
+        """Schedule a stream's injections on a simulator at its rate.
 
-        for seq_no, packet in enumerate(packets):
-            def inject(seq_no=seq_no, packet=packet) -> None:
-                timestamp = self._device.clock_cycles
-                if stream.wrap:
-                    wire = make_probe(
-                        stream.stream_id, seq_no, timestamp=timestamp,
-                        inner=packet,
-                    ).pack()
-                else:
-                    wire = packet.pack()
+        The events fire in sequence order, so each one takes the next
+        frame of :meth:`StreamSpec.wires` — stamped with the device
+        clock when it fires, unless the stream carries its own times.
+        """
+        stream = self._stream(stream_id)
+        gap = 1e9 / stream.rate_pps
+        frames = stream.wires(self._clock)
+        count = stream.packet_count()
+
+        for seq_no in range(count):
+            def inject(seq_no=seq_no) -> None:
+                timestamp, wire = next(frames)
                 record = InjectionRecord(
                     stream.stream_id, seq_no, wire, timestamp
                 )
                 record.run = self._device.inject(
-                    wire, at=stream.inject_at, timestamp=timestamp
+                    wire, at=stream.inject_at, port=stream.port_at(seq_no),
+                    timestamp=timestamp,
                 )
                 self.injected.append(record)
 
             sim.schedule_at(start_ns + seq_no * gap, inject)
-        return len(packets)
+        return count

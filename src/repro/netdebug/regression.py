@@ -19,9 +19,11 @@ from pathlib import Path
 from ..exceptions import NetDebugError
 from ..packet.pcap import PcapRecord, read_pcap, write_pcap
 from ..target.device import NetworkDevice
-from .checker import ExpectedOutput, OutputChecker
+from .checker import ExpectedOutput
+from .generator import StreamSpec
 from .oracle import OracleFactory, StatelessOracle
 from .report import SessionReport
+from .session import ValidationSession, run_session
 
 __all__ = ["RegressionSuite", "record_suite", "replay_suite"]
 
@@ -202,32 +204,23 @@ def replay_suite(
     ``ports`` likewise re-applies the original per-frame ingress ports
     (frames beyond the list fall back to port 0) — directional suites
     replay on the ports they were recorded on or not at all.
+
+    The replay is one :func:`~repro.netdebug.session.run_session` over
+    a single stream of the suite's frames, so a port the device lacks
+    is refused before the first frame is injected.
     """
-    checker = OutputChecker(device)
-    ports_covered = len(ports) if ports is not None else 0
-    with checker:
-        for index, (frame, expectation) in enumerate(
-            zip(suite.frames, suite.expectations)
-        ):
-            checker.arm(expectation)
-            device.inject(
-                frame,
-                port=ports[index] if index < ports_covered else 0,
-                timestamp=(
-                    timestamps[index]
-                    if timestamps is not None and index < len(timestamps)
-                    else None
-                ),
-            )
-            checker.disarm()
-    return SessionReport(
-        session=f"replay-{suite.name}",
-        device=device.name,
-        program=device.program.name,
-        checks=checker.outcomes(),
-        findings=list(checker.findings),
-        streams=dict(checker.streams),
-        latency=checker.latency,
-        injected=len(suite.frames),
-        observed=checker.observed,
+    return run_session(
+        device,
+        ValidationSession(
+            name=f"replay-{suite.name}",
+            streams=[
+                StreamSpec(
+                    stream_id=1,
+                    packets=suite.frames,
+                    timestamps=timestamps,
+                    ingress_ports=ports,
+                )
+            ],
+            expectations=suite.expectations,
+        ),
     )

@@ -7,6 +7,12 @@ the same program (and table state) under spec-faithful semantics and
 predicts the exact output bytes and egress port. Divergence between the
 oracle and the device under test is precisely how NetDebug catches target
 bugs like the missing ``reject`` state.
+
+:func:`run_session` is the one generator → device → checker loop: every
+stream becomes wire frames once (:meth:`StreamSpec.wires`), each packet's
+expectation is armed, the packet is injected, and the window is closed.
+Regression replay (:func:`repro.netdebug.regression.replay_suite`) and
+campaign shards run through it too.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from ..p4.program import P4Program
 from ..target.device import FLOOD_PORT, NetworkDevice
 from ..target.pipeline import PacketSnapshot, TAP_INPUT, TAP_OUTPUT
 from .checker import CheckRule, ExpectedOutput, OutputChecker
-from .generator import PacketGenerator, StreamSpec
+from .generator import StreamSpec, inject_blocks
 from .oracle import (
     ORACLES,
     OracleFactory,
@@ -29,7 +35,6 @@ from .oracle import (
     require_known_oracle,
 )
 from .report import SessionReport
-from .testpacket import make_probe
 
 __all__ = [
     "reference_expectation",
@@ -81,7 +86,8 @@ class ValidationSession:
             from the spec-faithful interpreter (fresh state per packet
             unless ``oracle_factory`` overrides the construction).
         expectations: Explicit per-packet expectations (overrides the
-            oracle when non-empty; must match the injection count).
+            oracle when non-empty; must match the packet count, checked
+            before the first injection).
         oracle_factory: How to build this session's oracle — called
             once per :func:`run_session` as ``factory(program,
             num_ports=...)`` and fed every packet in injection order.
@@ -90,9 +96,6 @@ class ValidationSession:
             with ``use_reference_oracle``) is
             :class:`~repro.netdebug.oracle.StatelessOracle`, preserving
             the historical per-packet fresh-state semantics.
-        oracle: Legacy per-packet callable ``(wire, ingress_port) ->
-            ExpectedOutput``; opaque to the engine, so it forces the
-            per-packet path (prefer ``oracle_factory``).
     """
 
     name: str
@@ -101,183 +104,128 @@ class ValidationSession:
     tap: str = TAP_OUTPUT
     use_reference_oracle: bool = False
     expectations: list[ExpectedOutput] = dc_field(default_factory=list)
-    oracle: Callable[[bytes, int], ExpectedOutput] | None = None
     oracle_factory: OracleFactory | None = None
+
+
+def _check_session(device: NetworkDevice, session: ValidationSession) -> None:
+    """Refuse a malformed session before any packet is injected.
+
+    A failure half-way through a run leaves earlier packets' effects in
+    the device's state, so everything knowable up front is checked
+    here: every stream has packets to send, every per-packet ingress
+    port exists on the device (directional workloads pick ports without
+    knowing it — int_probe spreads over four, tcp_bidir assumes {0, 1}),
+    and explicit expectations match the packet count exactly.
+    """
+    if not session.streams:
+        raise NetDebugError(f"session {session.name!r} has no streams")
+    port_count = len(device.ports)
+    for stream in session.streams:
+        if stream.packets is None and stream.template is None:
+            raise NetDebugError(
+                f"stream {stream.stream_id}: no template or packet list"
+            )
+        for index, port in enumerate(stream.ingress_ports or ()):
+            if not 0 <= port < port_count:
+                raise NetDebugError(
+                    f"session {session.name!r}: stream "
+                    f"{stream.stream_id} ingress_ports[{index}] is "
+                    f"{port}, but device {device.name!r} has only "
+                    f"{port_count} ports (valid: 0..{port_count - 1})"
+                )
+    if session.expectations:
+        packets = sum(stream.packet_count() for stream in session.streams)
+        expected = len(session.expectations)
+        if expected != packets:
+            relation = "fewer" if expected < packets else "more"
+            raise NetDebugError(
+                f"session {session.name!r}: {relation} expectations than "
+                f"injected packets ({expected} for {packets})"
+            )
 
 
 def _block_eligible(
     device: NetworkDevice, session: ValidationSession
 ) -> bool:
-    """Whether the session can run through the batch kernel.
+    """Whether the session can inject its streams in blocks.
 
-    The block path replays the lockstep protocol after the kernel runs,
-    which is only equivalent when nothing needs to observe or perturb
-    packets mid-flight: no taps, no armed faults, checking at the
-    output tap, input-tap injection, and no custom oracle (an arbitrary
-    callable may read device state between injections). Wrapped streams
+    Block mode replays the lockstep protocol after the device has run
+    each block, which is only equivalent when nothing needs to
+    observe or perturb packets mid-flight: no taps, no armed faults,
+    checking at the output tap and input-tap injection. Wrapped streams
     must be fully timed — an untimed probe's wire bytes embed the
-    running clock, which the kernel only knows afterwards.
+    running clock, which is only known once earlier packets have run.
+    Whether a block then runs on the batch kernel is the device's call
+    (:meth:`~repro.target.device.NetworkDevice.inject_block`).
 
-    A *stateful* ``oracle_factory`` oracle stays block-compatible: its
-    arrival-order contract holds because the kernel preserves arrival
-    order for exactly the programs whose predictions depend on it —
-    register-bearing programs take the packet-major schedule
-    (:attr:`repro.target.batch.BatchProgram.columnar` is False), and
-    the post-block replay feeds the oracle in sequence order.
+    A *stateful* ``oracle_factory`` oracle stays block-compatible: the
+    device preserves arrival order for exactly the programs whose
+    predictions depend on it, and the replay feeds the oracle in
+    sequence order.
     """
-    if getattr(device, "engine", None) != "batch":
+    if session.tap != TAP_OUTPUT:
         return False
-    if device._batch is None:
+    if device.injector.active or device.pipeline.has_taps():
         return False
-    if session.tap != TAP_OUTPUT or session.oracle is not None:
-        return False
-    injector = device.injector
-    if injector is not None and injector._active:
-        return False
-    if device.pipeline.has_taps():
-        return False
-    for stream in session.streams:
-        if stream.inject_at != TAP_INPUT:
-            return False
-        if stream.wrap:
-            count = (
-                len(stream.packets)
-                if stream.packets is not None
-                else stream.count
-            )
-            if (
-                stream.timestamps is None
-                or len(stream.timestamps) < count
-            ):
-                return False
-    return True
-
-
-def _session_oracle(
-    device: NetworkDevice, session: ValidationSession
-) -> ReferenceOracle | None:
-    """Build the one oracle that serves this session, or ``None``.
-
-    ``oracle_factory`` wins when set (with or without
-    ``use_reference_oracle``); ``use_reference_oracle`` alone keeps the
-    historical default, a :class:`StatelessOracle`. Both execution
-    paths construct the oracle exactly once per run and feed it every
-    packet in injection order — the arrival-order contract stateful
-    oracles require.
-    """
-    if session.oracle_factory is not None:
-        return session.oracle_factory(
-            device.program, num_ports=len(device.ports)
+    return all(
+        stream.inject_at == TAP_INPUT
+        and (
+            not stream.wrap
+            or len(stream.timestamps or ()) >= stream.packet_count()
         )
-    if session.use_reference_oracle:
-        return StatelessOracle(
-            device.program, num_ports=len(device.ports)
-        )
-    return None
-
-
-def _run_session_block(
-    device: NetworkDevice, session: ValidationSession
-) -> SessionReport:
-    """Block-wise session execution (batch engine).
-
-    Injects each stream as one block through the batch kernel, then
-    replays the arm → observe → disarm protocol per packet against the
-    kernel's outcomes — the output tap fires only for forwarded
-    packets, so a synthesized output snapshot per forwarded run
-    reproduces exactly what the attached checker would have seen.
-    """
-    generator = PacketGenerator(device)
-    for stream in session.streams:
-        generator.configure(stream)
-
-    checker = OutputChecker(device, tap=session.tap)
-    for rule in session.checks:
-        checker.add_check(rule)
-
-    oracle = _session_oracle(device, session)
-    explicit = list(session.expectations)
-    explicit_index = 0
-    sent_per_stream: dict[int, int] = {}
-
-    for stream in session.streams:
-        packets = list(stream.materialize())
-        if stream.wrap:
-            wires = [
-                make_probe(
-                    stream.stream_id,
-                    seq_no,
-                    timestamp=stream.timestamps[seq_no],
-                    inner=packet,
-                ).pack()
-                for seq_no, packet in enumerate(packets)
-            ]
-        else:
-            wires = [packet.pack() for packet in packets]
-        timestamps = (
-            list(stream.timestamps)
-            if stream.timestamps is not None
-            else None
-        )
-        ports = (
-            [stream.port_at(i) for i in range(len(wires))]
-            if stream.ingress_ports is not None
-            else None
-        )
-        outcomes = device.inject_block(
-            wires, timestamps=timestamps, ports=ports
-        )
-
-        for seq_no, (timestamp, run) in enumerate(outcomes):
-            expectation: ExpectedOutput | None = None
-            if explicit:
-                if explicit_index >= len(explicit):
-                    raise NetDebugError(
-                        f"session {session.name!r}: fewer expectations "
-                        "than injected packets"
-                    )
-                expectation = explicit[explicit_index]
-                explicit_index += 1
-            elif oracle is not None:
-                expectation = oracle.expect(
-                    wires[seq_no],
-                    ingress_port=stream.port_at(seq_no),
-                    timestamp=timestamp,
-                    label=f"s{stream.stream_id}#{seq_no}",
-                )
-
-            if expectation is not None:
-                checker.arm(expectation)
-            if run.result.verdict is Verdict.FORWARDED:
-                out_packet = run.result.packet
-                out_wire = run.output_wire
-                if out_wire is None:
-                    out_wire = out_packet.pack()
-                    run.output_wire = out_wire
-                metadata = run.result.metadata
-                metadata["_cycles_elapsed"] = run.latency_cycles
-                checker._on_snapshot(
-                    PacketSnapshot(
-                        TAP_OUTPUT, out_wire, out_packet, metadata, True
-                    )
-                )
-            if expectation is not None:
-                checker.disarm()
-        sent_per_stream[stream.stream_id] = len(wires)
-    checker.finalize(
-        sent_per_stream if any(s.wrap for s in session.streams) else None
+        for stream in session.streams
     )
 
-    return SessionReport(
-        session=session.name,
-        device=device.name,
-        program=device.program.name,
-        checks=checker.outcomes(),
-        findings=list(checker.findings),
-        streams=dict(checker.streams),
-        latency=checker.latency,
-        injected=sum(sent_per_stream.values()),
-        observed=checker.observed,
+
+def _expectation_source(
+    device: NetworkDevice, session: ValidationSession
+) -> Callable[[StreamSpec, int, bytes, int], ExpectedOutput | None]:
+    """The one rule choosing each packet's expectation.
+
+    Explicit expectations are consumed in injection order (their count
+    is checked up front). Otherwise the session's oracle — built once
+    per run: ``oracle_factory`` when set, a :class:`StatelessOracle`
+    for ``use_reference_oracle`` — predicts every packet in injection
+    order, the arrival-order contract stateful oracles require.
+    """
+    if session.expectations:
+        explicit = iter(session.expectations)
+        return lambda stream, seq_no, wire, timestamp: next(explicit)
+    factory = session.oracle_factory
+    if factory is None and session.use_reference_oracle:
+        factory = StatelessOracle
+    if factory is None:
+        return lambda stream, seq_no, wire, timestamp: None
+    oracle = factory(device.program, num_ports=len(device.ports))
+
+    def predict(stream, seq_no, wire, timestamp):
+        return oracle.expect(
+            wire,
+            ingress_port=stream.port_at(seq_no),
+            timestamp=timestamp,
+            label=f"s{stream.stream_id}#{seq_no}",
+        )
+
+    return predict
+
+
+def _observe_output(checker: OutputChecker, run) -> None:
+    """Show ``checker`` the output-tap snapshot of a block-run packet.
+
+    The output tap fires only for forwarded packets, so one synthesized
+    snapshot per forwarded run is exactly what an attached checker
+    would have seen.
+    """
+    result = run.result
+    if result.verdict is not Verdict.FORWARDED:
+        return
+    if run.output_wire is None:
+        run.output_wire = result.packet.pack()
+    result.metadata["_cycles_elapsed"] = run.latency_cycles
+    checker._on_snapshot(
+        PacketSnapshot(
+            TAP_OUTPUT, run.output_wire, result.packet, result.metadata, True
+        )
     )
 
 
@@ -292,91 +240,48 @@ def run_session(
     the expectation, and the window is closed. The report aggregates
     check outcomes, stream statistics, latency samples and all findings.
 
-    On a ``batch``-engine device, sessions that need no mid-flight
-    observation run block-wise through the batch kernel instead (see
-    :func:`_run_session_block`); the report is identical byte for byte.
+    When nothing observes or perturbs packets mid-flight — no taps, no
+    armed faults, checking at the output tap, input-tap streams, wrapped
+    streams fully timed — each stream is injected in blocks
+    (:meth:`~repro.target.device.NetworkDevice.inject_block`, on the
+    batch kernel when the device has one) and the same arm → observe →
+    disarm protocol is replayed over each block's outcomes. The choice
+    depends on the session, the taps and the faults, never on the
+    engine, and the report is identical byte for byte either way.
     """
-    if not session.streams:
-        raise NetDebugError(f"session {session.name!r} has no streams")
-
-    # Directional workloads carry per-packet ingress ports chosen by
-    # traffic generators that do not know the device (int_probe spreads
-    # over four ports, tcp_bidir assumes ports {0, 1}); a port beyond
-    # the compiled device's count must fail HERE, before any packet of
-    # any stream is injected, naming the offending index — not mid-run
-    # as a target error after earlier packets already mutated state.
-    port_count = len(device.ports)
-    for stream in session.streams:
-        if stream.ingress_ports is None:
-            continue
-        for index, port in enumerate(stream.ingress_ports):
-            if not 0 <= port < port_count:
-                raise NetDebugError(
-                    f"session {session.name!r}: stream "
-                    f"{stream.stream_id} ingress_ports[{index}] is "
-                    f"{port}, but device {device.name!r} has only "
-                    f"{port_count} ports (valid: 0..{port_count - 1})"
-                )
-
-    if _block_eligible(device, session):
-        return _run_session_block(device, session)
-
-    generator = PacketGenerator(device)
-    for stream in session.streams:
-        generator.configure(stream)
-
+    _check_session(device, session)
     checker = OutputChecker(device, tap=session.tap)
     for rule in session.checks:
         checker.add_check(rule)
+    expectation_for = _expectation_source(device, session)
+    block = _block_eligible(device, session)
 
-    oracle = _session_oracle(device, session)
-    explicit = list(session.expectations)
-    explicit_index = 0
+    def clock() -> int:
+        return device.clock_cycles
+
     sent_per_stream: dict[int, int] = {}
-
-    with checker:
+    if not block:
+        checker.attach()
+    try:
         for stream in session.streams:
+            if block:
+                frames = inject_blocks(device, stream, clock)
+            else:
+                frames = ((t, w, None) for t, w in stream.wires(clock))
             sent = 0
-            for seq_no, packet in enumerate(stream.materialize()):
-                timestamp = stream.timestamp_at(
-                    seq_no, device.clock_cycles
+            for seq_no, (timestamp, wire, run) in enumerate(frames):
+                expectation = expectation_for(
+                    stream, seq_no, wire, timestamp
                 )
-                port = stream.port_at(seq_no)
-                if stream.wrap:
-                    wire = make_probe(
-                        stream.stream_id,
-                        seq_no,
-                        timestamp=timestamp,
-                        inner=packet,
-                    ).pack()
-                else:
-                    wire = packet.pack()
-
-                expectation: ExpectedOutput | None = None
-                if explicit:
-                    if explicit_index >= len(explicit):
-                        raise NetDebugError(
-                            f"session {session.name!r}: fewer expectations "
-                            "than injected packets"
-                        )
-                    expectation = explicit[explicit_index]
-                    explicit_index += 1
-                elif session.oracle is not None:
-                    expectation = session.oracle(wire, port)
-                elif oracle is not None:
-                    expectation = oracle.expect(
-                        wire,
-                        ingress_port=port,
-                        timestamp=timestamp,
-                        label=f"s{stream.stream_id}#{seq_no}",
-                    )
-
                 if expectation is not None:
                     checker.arm(expectation)
-                device.inject(
-                    wire, at=stream.inject_at, port=port,
-                    timestamp=timestamp,
-                )
+                if block:
+                    _observe_output(checker, run)
+                else:
+                    device.inject(
+                        wire, at=stream.inject_at,
+                        port=stream.port_at(seq_no), timestamp=timestamp,
+                    )
                 if expectation is not None:
                     checker.disarm()
                 sent += 1
@@ -384,8 +289,10 @@ def run_session(
         checker.finalize(
             sent_per_stream if any(s.wrap for s in session.streams) else None
         )
+    finally:
+        checker.detach()
 
-    report = SessionReport(
+    return SessionReport(
         session=session.name,
         device=device.name,
         program=device.program.name,
@@ -396,4 +303,3 @@ def run_session(
         injected=sum(sent_per_stream.values()),
         observed=checker.observed,
     )
-    return report

@@ -13,10 +13,15 @@ Two traffic paths exist:
 * :meth:`process` / :meth:`process_batch` — the external path: a frame
   arrives on a port, counters move, and forwarded output leaves on
   ports (with :data:`FLOOD_PORT` flooding all ports but the ingress).
-* :meth:`inject` / :meth:`inject_batch` — NetDebug's internal path:
-  test packets enter the pipeline directly at any tap and, by default,
+* :meth:`inject` / :meth:`inject_block` — NetDebug's internal path:
+  test packets enter the pipeline directly (``inject`` at any tap,
+  ``inject_block`` a whole block at the input tap) and, by default,
   never emerge on the wire. Device statistics still account for them
   (the hardware did process the packet); port counters do not.
+
+The device alone decides how a block runs: on the batch kernel when
+its engine has one and nothing observes or perturbs packets mid-flight,
+else packet by packet with identical outcomes.
 """
 
 from __future__ import annotations
@@ -81,11 +86,8 @@ class NetworkDevice:
         name: str,
         compiler: TargetCompiler,
         num_ports: int = 8,
-        use_compiled: bool = True,
-        engine: str | None = None,
+        engine: str = "closure",
     ):
-        if engine is None:
-            engine = "closure" if use_compiled else "tree"
         if engine not in ENGINES:
             raise TargetError(
                 f"unknown execution engine {engine!r}; "
@@ -99,7 +101,6 @@ class NetworkDevice:
         self.injector = FaultInjector()
         self.clock_cycles = 0
         self.engine = engine
-        self._use_compiled = engine != "tree"
         self._compiled: CompiledProgram | None = None
         self._pipeline: StagedPipeline | None = None
         self._control: RuntimeAPI | None = None
@@ -141,7 +142,7 @@ class NetworkDevice:
             self.limits,
             state=state,
             injector=self.injector,
-            use_compiled=self._use_compiled,
+            use_compiled=self.engine != "tree",
         )
         if self.engine == "batch":
             from .batch import get_batch_program
@@ -286,33 +287,6 @@ class NetworkDevice:
             self._emit(run, exclude_port=port)
         return run
 
-    def inject_batch(
-        self,
-        wires,
-        at: str = TAP_INPUT,
-        port: int = 0,
-    ) -> list[tuple[int, TargetRun]]:
-        """Inject many test frames back to back at tap ``at``.
-
-        Returns ``(timestamp, run)`` per frame, where ``timestamp`` is
-        the device clock at injection time (what a wrapped probe would
-        carry). Setup is hoisted out of the loop; this is the path
-        :meth:`repro.netdebug.generator.PacketGenerator.run_stream`
-        uses to drive line-rate streams.
-        """
-        pipeline = self._require_pipeline()
-        run_one = pipeline.process
-        account = self._account
-        results: list[tuple[int, TargetRun]] = []
-        for wire in wires:
-            timestamp = self.clock_cycles
-            run = run_one(
-                wire, inject_at=at, ingress_port=port, timestamp=timestamp
-            )
-            account(run)
-            results.append((timestamp, run))
-        return results
-
     def inject_block(
         self,
         wires,
@@ -344,11 +318,10 @@ class NetworkDevice:
         wires = list(wires)
         pipeline = self._require_pipeline()
         batch = self._batch
-        injector = self.injector
         if (
             batch is not None
             and not pipeline.has_taps()
-            and not (injector is not None and injector._active)
+            and not self.injector.active
         ):
             outcomes = batch.run_block(
                 wires,

@@ -28,20 +28,17 @@ class ReferenceCompiler(TargetCompiler):
 def make_reference_device(
     name: str = "reference0",
     num_ports: int = 8,
-    use_compiled: bool = True,
-    engine: str | None = None,
+    engine: str = "closure",
 ) -> NetworkDevice:
     """A reference device: 8 traffic ports, spec-faithful pipeline.
 
-    ``use_compiled=False`` forces tree-walking interpretation in the
-    pipeline — the slow baseline the fast path is benchmarked against.
-    ``engine`` selects the execution engine explicitly (``"tree"``,
-    ``"closure"``, ``"batch"``) and overrides ``use_compiled``.
+    ``engine`` selects the execution engine (``"tree"``, ``"closure"``,
+    ``"batch"``); ``"tree"`` is the slow tree-walking baseline the fast
+    paths are benchmarked against.
     """
     return NetworkDevice(
         name,
         ReferenceCompiler(),
         num_ports=num_ports,
-        use_compiled=use_compiled,
         engine=engine,
     )

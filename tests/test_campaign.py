@@ -271,6 +271,29 @@ class TestRecordReplay:
         manifest_path.write_text(json.dumps(manifest))
         assert not replay_campaign(tmp_path, name="timed2").passed
 
+    def test_record_builds_each_workload_once(self, tmp_path, monkeypatch):
+        # The manifest's arrival times and ingress ports come back from
+        # the shards that built the traffic; nothing rebuilds it.
+        from repro.netdebug import campaign
+
+        built = []
+        build = campaign.build_workload
+
+        def counting(name, *args, **kwargs):
+            built.append(name)
+            return build(name, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "build_workload", counting)
+        matrix = tiny_matrix(workloads=["udp", "burst", "int_probe"])
+        record_campaign(matrix, tmp_path, name="once")
+        assert built == ["udp", "burst", "int_probe"]
+        manifest = json.loads((tmp_path / "once.manifest.json").read_text())
+        udp, burst, int_probe = manifest["scenarios"]
+        assert "times_ns" not in udp and "ingress_ports" not in udp
+        assert len(burst["times_ns"]) == 4
+        assert len(int_probe["times_ns"]) == 4
+        assert len(int_probe["ingress_ports"]) == 4
+
     def test_predicate_faults_cannot_be_recorded(self, tmp_path):
         matrix = tiny_matrix(
             faults={

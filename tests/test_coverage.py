@@ -125,11 +125,6 @@ class TestCoverageWorkload:
         with pytest.raises(SimulationError, match="context"):
             build_workload("coverage", default_flow(), 8, seed=1)
 
-    def test_count_zero_probe_is_context_free(self):
-        bundle = build_workload("coverage", default_flow(), 0, seed=1)
-        assert bundle.packets == ()
-        assert bundle.coverage is None
-
     def test_count_floor_refused_loudly(self):
         context = WorkloadContext("acl_firewall", "reference", "acl_gate")
         with pytest.raises(SimulationError, match="raise the scenario"):

@@ -196,6 +196,33 @@ class TestGenerator:
         assert len(generator.injected) == 10
         assert sim.now == pytest.approx(9_000.0)
 
+    def test_scheduled_stream_keeps_ingress_ports(self):
+        from repro.sim.events import Simulator
+
+        device = loaded_device()
+        seen = []
+        process = device.pipeline.process
+
+        def spy(wire, inject_at="input", ingress_port=0, timestamp=0):
+            seen.append(ingress_port)
+            return process(
+                wire, inject_at=inject_at, ingress_port=ingress_port,
+                timestamp=timestamp,
+            )
+
+        device.pipeline.process = spy
+        generator = PacketGenerator(device)
+        generator.configure(
+            StreamSpec(
+                stream_id=1, template=template(), count=4,
+                ingress_ports=[1, 2, 3, 1],
+            )
+        )
+        sim = Simulator()
+        generator.schedule_stream(1, sim)
+        sim.run()
+        assert seen == [1, 2, 3, 1]
+
     def test_on_injected_callback(self):
         device = loaded_device()
         generator = PacketGenerator(device)

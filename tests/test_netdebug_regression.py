@@ -88,6 +88,13 @@ class TestReplay:
         report = replay_suite(drifted, suite)
         assert not report.passed
 
+    def test_replay_refuses_missing_port_before_injecting(self, frames):
+        device = loaded(make_reference_device, "rep-ports")
+        suite = record_suite(device, frames)
+        with pytest.raises(NetDebugError, match=r"ingress_ports\[2\] is 8"):
+            replay_suite(device, suite, ports=[0, 1, 8])
+        assert device.stats.processed == 0
+
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path, frames):

@@ -186,6 +186,27 @@ class TestRunSession:
         assert report.observed == 8
         assert report.program == "ipv4_router"
 
+    def test_long_stream_injected_in_bounded_blocks(self, monkeypatch):
+        """Block mode never hands the device a whole long stream: only
+        one bounded block of pipeline results is alive at a time."""
+        device = routed_device()
+        sizes = []
+        inject_block = device.inject_block
+
+        def spy(wires, **kwargs):
+            sizes.append(len(wires))
+            return inject_block(wires, **kwargs)
+
+        monkeypatch.setattr(device, "inject_block", spy)
+        session = ValidationSession(
+            name="long",
+            streams=[StreamSpec(stream_id=1, packets=routed_packets(40))],
+            use_reference_oracle=True,
+        )
+        report = run_session(device, session)
+        assert report.passed and report.injected == 40
+        assert sum(sizes) == 40 and max(sizes) < 40
+
     def test_oracle_session_fails_on_deviant_device(self):
         device = make_sdnet_device("ses-sd")
         device.load(strict_parser())
@@ -226,21 +247,51 @@ class TestRunSession:
             streams=[StreamSpec(stream_id=1, packets=routed_packets(3))],
             expectations=[ExpectedOutput(egress_port=2)],
         )
-        with pytest.raises(NetDebugError):
+        with pytest.raises(NetDebugError, match="fewer expectations"):
             run_session(device, session)
+        # Refused before the first injection.
+        assert device.stats.processed == 0
 
-    def test_custom_oracle_callable(self):
+    def test_surplus_expectations_rejected(self):
+        device = routed_device()
+        session = ValidationSession(
+            name="long",
+            streams=[StreamSpec(stream_id=1, packets=routed_packets(2))],
+            expectations=[ExpectedOutput(egress_port=2)] * 3,
+        )
+        with pytest.raises(NetDebugError, match="more expectations"):
+            run_session(device, session)
+        assert device.stats.processed == 0
+
+    def test_stream_without_source_rejected_before_injection(self):
+        device = routed_device()
+        session = ValidationSession(
+            name="sourceless",
+            streams=[
+                StreamSpec(stream_id=1, packets=routed_packets(2)),
+                StreamSpec(stream_id=2),
+            ],
+        )
+        with pytest.raises(NetDebugError, match="no template or packet"):
+            run_session(device, session)
+        assert device.stats.processed == 0
+
+    def test_custom_oracle_factory(self):
         device = routed_device()
         calls = []
 
-        def oracle(wire, port):
-            calls.append(wire)
-            return ExpectedOutput(egress_port=2)
+        class RecordingOracle:
+            def __init__(self, program, num_ports=None):
+                self.num_ports = num_ports
+
+            def expect(self, wire, ingress_port=0, timestamp=0, label=""):
+                calls.append(wire)
+                return ExpectedOutput(egress_port=2)
 
         session = ValidationSession(
             name="custom",
             streams=[StreamSpec(stream_id=1, packets=routed_packets(3))],
-            oracle=oracle,
+            oracle_factory=RecordingOracle,
         )
         report = run_session(device, session)
         assert len(calls) == 3

@@ -290,7 +290,9 @@ def test_duplicate_extract_parser_keeps_guard_and_matches_closure():
 ENGINES = ("tree", "closure", "batch")
 
 
-def _oracle_session(count=12):
+def _oracle_session(wrap=False, as_bytes=False, count=12):
+    """A malformed-mix oracle session; ``wrap`` carries each packet in
+    a fully timed probe, ``as_bytes`` hands the stream wire bytes."""
     packets = [
         packet for packet, _ in malformed_mix(
             default_flow(), count, 0.4, seed=2018
@@ -298,23 +300,82 @@ def _oracle_session(count=12):
     ]
     return ValidationSession(
         name="engine-diff",
-        streams=[StreamSpec(stream_id=1, packets=packets)],
+        streams=[
+            StreamSpec(
+                stream_id=1,
+                packets=(
+                    [packet.pack() for packet in packets]
+                    if as_bytes
+                    else packets
+                ),
+                wrap=wrap,
+                timestamps=(
+                    list(range(100, 100 * (count + 1), 100))
+                    if wrap
+                    else None
+                ),
+            )
+        ],
         use_reference_oracle=True,
     )
 
 
+def _session_report(target, engine, session, lockstep=False):
+    """Run ``session`` on a fresh device; ``lockstep`` attaches a no-op
+    output tap, which forces the per-packet arm → inject → disarm path
+    without changing what the checker sees. Wrapped sessions run on the
+    reflector, which forwards probes, so stream and latency accounting
+    have packets to count."""
+    program = "reflector" if session.streams[0].wrap else "acl_firewall"
+    device = make_device(
+        f"sess-{target}", COMPILERS[target], PROGRAMS[program], engine,
+    )
+    if lockstep:
+        device.attach_tap("output", lambda snapshot: None)
+    return run_session(device, session).to_dict()
+
+
+def _reports_in_both_modes(target, **session_kwargs):
+    """One report per engine × {block, lockstep}; all must be equal."""
+    reports = [
+        _session_report(
+            target, engine, _oracle_session(**session_kwargs), lockstep
+        )
+        for engine in ENGINES
+        for lockstep in (False, True)
+    ]
+    assert all(report == reports[0] for report in reports)
+    return reports[0]
+
+
 @pytest.mark.parametrize("target", sorted(COMPILERS))
 def test_session_reports_identical_across_engines(target):
-    """The batch session block path reproduces the lockstep protocol's
-    SessionReport exactly — findings, latencies and stream stats."""
-    reports = []
-    for engine in ENGINES:
-        device = make_device(
-            f"sess-{target}", COMPILERS[target],
-            PROGRAMS["acl_firewall"], engine,
+    """Block mode reproduces the lockstep protocol's SessionReport
+    exactly — findings, latencies and stream stats — on every engine."""
+    assert _reports_in_both_modes(target)["injected"] == 12
+
+
+@pytest.mark.parametrize("count", [12, 40])
+@pytest.mark.parametrize(
+    "wrap,as_bytes",
+    [(False, True), (True, False), (True, True)],
+    ids=["bare-bytes", "wrapped-packets", "wrapped-bytes"],
+)
+@pytest.mark.parametrize("target", sorted(COMPILERS))
+def test_session_streams_identical_in_both_modes(
+    target, wrap, as_bytes, count
+):
+    """Fully timed wrapped streams, and streams given as wire bytes,
+    report identically in block and lockstep mode on every engine;
+    bytes entries report exactly as the packets they came from. The
+    40-packet streams span several of the session's injected blocks."""
+    report = _reports_in_both_modes(
+        target, wrap=wrap, as_bytes=as_bytes, count=count
+    )
+    if as_bytes:
+        assert report == _session_report(
+            target, "closure", _oracle_session(wrap=wrap, count=count)
         )
-        reports.append(run_session(device, _oracle_session()).to_dict())
-    assert reports[0] == reports[1] == reports[2]
 
 
 def _stream_records(engine, *, timestamps=None, ports=None,

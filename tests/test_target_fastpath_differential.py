@@ -117,10 +117,10 @@ def test_compiled_matches_interpreted(name, compiler_cls):
     from repro.target.device import NetworkDevice
 
     devices = []
-    for mode in (True, False):
+    for engine in ("closure", "tree"):
         device = NetworkDevice(
-            f"diff-{name}-{mode}", compiler_cls(), num_ports=8,
-            use_compiled=mode,
+            f"diff-{name}-{engine}", compiler_cls(), num_ports=8,
+            engine=engine,
         )
         try:
             device.load(ALL_FACTORIES[name]())
@@ -200,8 +200,8 @@ def test_drop_then_clear_matches_interpreter():
     expected = Interpreter(deny_then_allow()).process(wire)
     assert expected.verdict is Verdict.FORWARDED  # allow wins
 
-    for mode in (True, False):
-        device = make_reference_device(f"dtc-{mode}", use_compiled=mode)
+    for engine in ("closure", "tree"):
+        device = make_reference_device(f"dtc-{engine}", engine=engine)
         device.load(deny_then_allow())
         run = device.inject(wire, timestamp=0)
         assert run.result.verdict is Verdict.FORWARDED
@@ -210,7 +210,7 @@ def test_drop_then_clear_matches_interpreter():
 
 
 def test_batched_paths_match_single_packet():
-    """process_batch/inject_batch are pure amortizations of the
+    """process_batch/inject_block are pure amortizations of the
     per-packet calls: outputs and stats must be identical."""
     frames = workload()
 
@@ -231,7 +231,7 @@ def test_batched_paths_match_single_packet():
     ] == [(p.rx_packets, p.tx_packets) for p in batched.ports]
 
     injected = build()
-    runs = injected.inject_batch(frames)
+    runs = injected.inject_block(frames)
     assert len(runs) == len(frames)
     reference = build()
     for (timestamp, run), wire in zip(runs, frames):

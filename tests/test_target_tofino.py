@@ -129,7 +129,7 @@ class TestDeparseTruncation:
     def test_both_engines_truncate_identically(self):
         compiled_dev = make_tofino_device("tof-fast")
         compiled_dev.load(strict_parser())
-        tree_dev = make_tofino_device("tof-tree", use_compiled=False)
+        tree_dev = make_tofino_device("tof-tree", engine="tree")
         tree_dev.load(strict_parser())
         for size in (64, 128, 300):
             wire = udp_packet(
@@ -170,7 +170,7 @@ class TestQuantizedMatching:
     def test_engines_agree_on_quantized_verdicts(self):
         fast = self._gated_device(make_tofino_device, "tof-acl-fast")
         tree = self._gated_device(
-            lambda name: make_tofino_device(name, use_compiled=False),
+            lambda name: make_tofino_device(name, engine="tree"),
             "tof-acl-tree",
         )
         for dport in (5000, 5119, 255, 0x12FF):
