@@ -7,14 +7,18 @@ reproduced rows to ``benchmark.extra_info`` and printing a paper-style
 table (visible with ``pytest -s`` or in the saved benchmark JSON).
 
 Every timed run also appends one entry to ``BENCH_perf.json`` at the
-repository root: per-benchmark median timings plus the ``extra_info``
-rows. The file is the repo's performance trajectory — diff entries
-across commits to see a hot path regress or improve.
+repository root: per-benchmark median timings and interquartile range
+plus the ``extra_info`` rows, stamped with the commit, host CPU count
+and Python version so entries are comparable across commits. The file
+is the repo's performance trajectory — diff entries across commits to
+see a hot path regress or improve.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -38,6 +42,26 @@ def _stat(bench, name: str):
             return None
 
 
+def commit_sha(root: Path) -> str:
+    """The checkout's commit, read from ``.git`` without running git;
+    ``unknown`` outside a git checkout."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        path = git / ref
+        if path.exists():
+            return path.read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Append this run's per-benchmark medians to BENCH_perf.json."""
     benchmark_session = getattr(session.config, "_benchmarksession", None)
@@ -50,6 +74,7 @@ def pytest_sessionfinish(session, exitstatus):
                 "name": bench.name,
                 "group": getattr(bench, "group", None),
                 "median_s": _stat(bench, "median"),
+                "iqr_s": _stat(bench, "iqr"),
                 "mean_s": _stat(bench, "mean"),
                 "rounds": _stat(bench, "rounds"),
                 "extra_info": dict(getattr(bench, "extra_info", {}) or {}),
@@ -57,7 +82,8 @@ def pytest_sessionfinish(session, exitstatus):
         )
     if not rows:
         return  # nothing timed (e.g. --benchmark-disable smoke runs)
-    path = Path(str(session.config.rootpath)) / "BENCH_perf.json"
+    root = Path(str(session.config.rootpath))
+    path = root / "BENCH_perf.json"
     history: list = []
     if path.exists():
         try:
@@ -68,6 +94,9 @@ def pytest_sessionfinish(session, exitstatus):
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
             "exit_status": int(exitstatus),
+            "commit": commit_sha(root),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
             "benchmarks": rows,
         }
     )

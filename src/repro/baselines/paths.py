@@ -8,8 +8,10 @@ value-set domain (:mod:`repro.baselines.symbolic`), branch per table
 entry (each installed entry plus the miss), and materialize one
 concrete witness packet per feasible combination. Historically that
 machine lived private to ``SymbolicVerifier``; this module is the
-extraction, parameterized by a **deviation model** so path feasibility
-can be judged under a *target's* semantics, not only the spec's:
+extraction, parameterized by a target's
+:class:`~repro.p4.interpreter.DeviationModel` (the same value its
+compiled artifact carries) so path feasibility can be judged under a
+*target's* semantics, not only the spec's:
 
 * ``quantize_tcam`` — ternary masks and range bounds quantize to
   power-of-two boundaries (:func:`repro.bitutils.quantize_ternary_mask`
@@ -36,6 +38,7 @@ from typing import Iterator
 from ..bitutils import mask, quantize_range, quantize_ternary_mask
 from ..exceptions import VerificationError
 from ..p4.expr import Const, Expr, FieldRef, MetaRef
+from ..p4.interpreter import SPEC_MODEL, DeviationModel
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import KeyPattern, MatchKind, Table, TableEntry
@@ -45,7 +48,6 @@ from .symbolic import Infeasible, SymbolicState, ValueSet
 __all__ = [
     "MAX_PARSER_PATHS",
     "MAX_CANDIDATES",
-    "DeviationModel",
     "ParserPath",
     "CandidateSpec",
     "PathEnumerator",
@@ -57,38 +59,6 @@ MAX_CANDIDATES = 4096
 
 #: Default witness payload: small, deterministic, checksum-neutral.
 DEFAULT_PAYLOAD = b"\x00" * 16
-
-
-@dataclass(frozen=True)
-class DeviationModel:
-    """A target's behavioural model, as path-feasibility semantics.
-
-    The defaults are the specification; :meth:`from_compiled` lifts the
-    model off a :class:`~repro.target.compiler.CompiledProgram` so the
-    enumerator judges feasibility exactly the way the artifact's
-    datapath will behave.
-    """
-
-    honor_reject: bool = True
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
-
-    @classmethod
-    def spec(cls) -> "DeviationModel":
-        return cls()
-
-    @classmethod
-    def from_compiled(cls, compiled) -> "DeviationModel":
-        return cls(
-            honor_reject=getattr(compiled, "honor_reject", True),
-            quantize_tcam=getattr(compiled, "quantize_tcam", False),
-            deparse_field_budget=getattr(
-                compiled, "deparse_field_budget", None
-            ),
-        )
-
-
-SPEC_MODEL = DeviationModel()
 
 
 @dataclass

@@ -26,11 +26,12 @@ executed end-to-end to compress the matrix:
   normalized away (a ``TABLE_STUCK_MISS`` on a table the program
   doesn't define, a stage fault on a stage the device doesn't have).
   Cells whose fault sets differ only by inert faults merge.
-* **behaviour fingerprint** — every workload packet replayed through
-  :class:`~repro.netdebug.coverage.TracingInterpreter` twice, under
-  the spec model and under the target's
-  :class:`~repro.baselines.paths.DeviationModel`, recording path
-  signature, egress port and output bytes. Two cells with identical
+* **behaviour fingerprint** — every workload packet replayed twice by
+  coverage's fresh-state replay, under
+  :data:`~repro.p4.interpreter.SPEC_MODEL` and under the compiled
+  artifact's own :class:`~repro.p4.interpreter.DeviationModel` (the
+  model its device runs), recording path signature, egress port and
+  output bytes. Two cells with identical
   fingerprints drive identical behaviour classes *and* identical
   observable deviations (the output-bytes flag is what separates a
   deparse-budget truncation from a path-identical pass-through).
@@ -61,13 +62,14 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from ..baselines.paths import SPEC_MODEL, DeviationModel
 from ..bitutils import stable_hash64
-from ..exceptions import NetDebugError, P4RuntimeError
+from ..exceptions import NetDebugError
+from ..p4.interpreter import SPEC_MODEL, DeviationModel
 from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..sim.traffic import WorkloadContext, build_workload, default_flow
 from ..target.batch import _reads_metadata
+from ..target.compiler import CompiledProgram
 from ..target.faults import Fault, FaultKind
 from .campaign import (
     PROVISIONERS,
@@ -80,7 +82,7 @@ from .campaign import (
     matrix_from_dict,
     matrix_to_dict,
 )
-from .coverage import TracingInterpreter, _signature
+from .coverage import _replay
 from .report import CanonicalJsonReport, SessionReport
 
 __all__ = [
@@ -105,8 +107,7 @@ class _CellContext:
     """Compile-once facts about one (program, target, setup) triple."""
 
     program: P4Program
-    compiled: object
-    model: DeviationModel
+    compiled: CompiledProgram
     stages: frozenset[str]
     tables: frozenset[str]
     counters: frozenset[str]
@@ -123,7 +124,6 @@ def _cell_context(program: str, target: str, setup: str) -> _CellContext:
     return _CellContext(
         program=prog,
         compiled=compiled,
-        model=DeviationModel.from_compiled(compiled),
         stages=frozenset(device.stage_names()),
         tables=frozenset(prog.all_tables()),
         counters=frozenset(prog.counters),
@@ -154,18 +154,11 @@ def _probe(
     program: P4Program, model: DeviationModel, wire: bytes
 ) -> tuple[str, int | None, str | None]:
     """(path signature, egress port, output hex) of one replay."""
-    interp = TracingInterpreter(
-        program,
-        honor_reject=model.honor_reject,
-        quantize_tcam=model.quantize_tcam,
-        deparse_field_budget=model.deparse_field_budget,
-    )
-    try:
-        result = interp.process(wire)
-    except P4RuntimeError as exc:
-        return (f"!error|{exc}", None, None)
+    signature, result = _replay(program, model, wire)
+    if result is None:
+        return (signature, None, None)
     out = result.packet.pack().hex() if result.packet is not None else None
-    return (_signature(result, interp.table_choices), result.egress_port, out)
+    return (signature, result.egress_port, out)
 
 
 def _behavior_fingerprint(wires: list[bytes], ctx: _CellContext) -> str:
@@ -179,7 +172,7 @@ def _behavior_fingerprint(wires: list[bytes], ctx: _CellContext) -> str:
     items = []
     for wire in wires:
         spec = _probe(ctx.program, SPEC_MODEL, wire)
-        tgt = _probe(ctx.program, ctx.model, wire)
+        tgt = _probe(ctx.program, ctx.compiled.model, wire)
         flag = "=" if spec[1:] == tgt[1:] else "!"
         items.append(f"{spec[0]}>>{tgt[0]}>>{flag}")
     return "\n".join(items)

@@ -8,9 +8,11 @@ with a provable one. The shared symbolic walker
 under a **target's deviation model** — quantized TCAM masks and
 ignored reject states change which paths are feasible — and
 :func:`covering_set` materializes one concrete witness packet per
-class, replaying each witness on a tracing interpreter so the
-:class:`CoverageMap` records the path each packet *actually* covers
-and why every pruned combination was infeasible. The idea follows
+class, replaying each witness on the spec
+:class:`~repro.p4.interpreter.Interpreter` under that model — whose
+trace names each table's winning entry — so the :class:`CoverageMap`
+records the path each packet *actually* covers and why every pruned
+combination was infeasible. The idea follows
 Control Plane Compression (Beckett et al., SIGCOMM 2018): collapse a
 huge behaviour space into a small representative set with a
 machine-checkable map of what each representative stands for.
@@ -49,16 +51,16 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
-from ..baselines.paths import (
-    MAX_CANDIDATES,
-    SPEC_MODEL,
-    DeviationModel,
-    PathEnumerator,
-)
+from ..baselines.paths import MAX_CANDIDATES, PathEnumerator
 from ..baselines.symbolic import Infeasible
 from ..bitutils import stable_hash64
 from ..exceptions import NetDebugError, P4RuntimeError, SimulationError
-from ..p4.interpreter import Interpreter, PipelineResult
+from ..p4.interpreter import (
+    SPEC_MODEL,
+    DeviationModel,
+    Interpreter,
+    PipelineResult,
+)
 from ..p4.program import P4Program
 from ..packet.packet import Packet
 from ..sim.traffic import (
@@ -69,7 +71,6 @@ from ..sim.traffic import (
 )
 
 __all__ = [
-    "TracingInterpreter",
     "CoveredPath",
     "PrunedPath",
     "CoverageMap",
@@ -93,45 +94,7 @@ _PARSER_MARKERS = {
 }
 
 
-class TracingInterpreter(Interpreter):
-    """An interpreter that records which table entry won each lookup.
-
-    The base trace says only hit/miss; the coverage signature needs
-    *which* installed entry matched, so ``apply_table`` pre-runs the
-    (pure) lookup to learn the winning entry's index before delegating
-    to the base implementation. ``table_choices`` accumulates
-    ``(table_name, entry_index)`` per packet — ``None`` for a miss —
-    and resets on every :meth:`process` call.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.table_choices: list[tuple[str, int | None]] = []
-
-    def process(self, wire, ingress_port=0, timestamp=0):
-        self.table_choices = []
-        return super().process(
-            wire, ingress_port=ingress_port, timestamp=timestamp
-        )
-
-    def apply_table(self, control, table_name, ctx, trace):
-        table = control.table(table_name)
-        result = table.lookup(
-            ctx, self.program.env, quantize=self.quantize_tcam
-        )
-        index = None
-        if result.entry is not None:
-            for position, entry in enumerate(table.entries):
-                if entry is result.entry:
-                    index = position
-                    break
-        self.table_choices.append((table_name, index))
-        return super().apply_table(control, table_name, ctx, trace)
-
-
-def _signature(
-    result: PipelineResult, choices: list[tuple[str, int | None]]
-) -> str:
+def _signature(result: PipelineResult) -> str:
     """The behaviour-class identity of one replayed packet.
 
     Parser walk (state names plus verify/reject markers, in trace
@@ -139,39 +102,38 @@ def _signature(
     the same signature took the same feasible path.
     """
     tokens: list[str] = []
+    branches: list[str] = []
     for event in result.trace.events:
         if event.kind == "parser_state":
             tokens.append(event.detail)
         elif event.kind in _PARSER_MARKERS:
             tokens.append(_PARSER_MARKERS[event.kind])
-    branches = ",".join(
-        f"{name}={'miss' if index is None else index}"
-        for name, index in choices
+        elif event.kind == "table_apply":
+            table = event.detail.partition(":")[0]
+            entry = "miss" if event.entry is None else event.entry
+            branches.append(f"{table}={entry}")
+    return "|".join(
+        (">".join(tokens), result.verdict.value, ",".join(branches))
     )
-    return "|".join((">".join(tokens), result.verdict.value, branches))
 
 
 def _replay(
     program: P4Program, model: DeviationModel, wire: bytes
-) -> str:
-    """One fresh-state replay of ``wire`` under ``model`` → signature.
+) -> tuple[str, PipelineResult | None]:
+    """One fresh-state replay of ``wire`` under ``model`` → (signature,
+    result).
 
     Every replay starts from clean registers/counters: the coverage
     claim is per-packet path identity, not a stateful trajectory.
-    Runtime errors get their own signature class so error-raising
-    paths are identifiable (and excludable) rather than crashes.
+    Runtime errors get their own signature class (and no result) so
+    error-raising paths are identifiable (and excludable) rather than
+    crashes.
     """
-    interp = TracingInterpreter(
-        program,
-        honor_reject=model.honor_reject,
-        quantize_tcam=model.quantize_tcam,
-        deparse_field_budget=model.deparse_field_budget,
-    )
     try:
-        result = interp.process(wire)
+        result = Interpreter(program, model=model).process(wire)
     except P4RuntimeError as exc:
-        return f"!error|{exc}"
-    return _signature(result, interp.table_choices)
+        return f"!error|{exc}", None
+    return _signature(result), result
 
 
 @dataclass
@@ -325,7 +287,7 @@ def covering_set(
             )
             continue
         wire = packet.pack()
-        signature = _replay(program, model, wire)
+        signature, _ = _replay(program, model, wire)
         if signature.startswith("!error|"):
             pruned.append(
                 PrunedPath(
@@ -363,7 +325,7 @@ def verify_coverage(
     from the map's. An empty list means every recorded behaviour class
     has a live witness in ``wires``.
     """
-    achieved = {_replay(program, model, wire) for wire in wires}
+    achieved = {_replay(program, model, wire)[0] for wire in wires}
     return sorted(cmap.signatures() - achieved)
 
 
@@ -404,7 +366,7 @@ def _materialize_context(
         compiled = device.load(PROGRAMS[context.program]())
         if context.setup:
             PROVISIONERS[context.setup](device)
-    return compiled.program, DeviationModel.from_compiled(compiled)
+    return compiled.program, compiled.model
 
 
 def _coverage_workload(

@@ -6,12 +6,13 @@ that compile cleanly and pass every self-test. With three registered
 backends (:data:`repro.netdebug.campaign.TARGETS`) deviating in three
 different ways, this module makes that claim executable:
 
-* :class:`DeviantOracle` — a **tree-walking** interpreter parameterized
-  by a backend's behavioural model (``honor_reject`` /
-  ``quantize_tcam`` / ``deparse_field_budget``). Devices execute the
-  *compiled closure* engine, so the oracle is an independent
-  implementation of the same semantics — a genuine differential
-  counterpart, not a tautology.
+* **oracles** — the spec :class:`~repro.p4.interpreter.Interpreter`
+  run under the spec model, under the artifact's full
+  :class:`~repro.p4.interpreter.DeviationModel` and under one
+  single-tag model per declared deviation (:func:`tag_model`). Devices
+  execute the *compiled closure* engine, so the tree-walking oracle is
+  an independent implementation of the same semantics — a genuine
+  differential counterpart, not a tautology.
 * :func:`seeded_batch` — deterministic randomized packet batches
   (valid UDP with randomized five-tuples and sizes, plus the §4
   malformed mixes) keyed entirely by one seed.
@@ -43,7 +44,7 @@ from ..bitutils import stable_hash64
 
 from ..exceptions import CompileError, NetDebugError
 from .report import CanonicalJsonReport
-from ..p4.interpreter import Interpreter, Verdict
+from ..p4.interpreter import SPEC_MODEL, DeviationModel, Interpreter, Verdict
 from ..p4.program import P4Program
 from ..p4.stdlib import PROGRAMS
 from ..packet.builder import ethernet_frame, udp_packet
@@ -59,7 +60,6 @@ from ..target.sdnet import REJECT_NOT_IMPLEMENTED
 from ..target.tofino import DEPARSE_FIELD_BUDGET_EXCEEDED, TCAM_QUANTIZED
 
 __all__ = [
-    "DeviantOracle",
     "seeded_batch",
     "seeded_bidir_batch",
     "Observation",
@@ -72,52 +72,19 @@ __all__ = [
 ]
 
 
-class DeviantOracle(Interpreter):
-    """A tree-walking oracle running one backend's behavioural model.
-
-    With the default parameters this *is* the spec oracle; the deviation
-    knobs (``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``)
-    are the base interpreter's own, so there is exactly one tree-walking
-    definition of each deviation — independent of the closure-compiled
-    engine the devices actually run, which is what makes the comparison
-    a genuine differential.
-    """
-
-    def observe(
-        self,
-        wire: bytes,
-        ingress_port: int = 0,
-        timestamp: int = 0,
-    ) -> "Observation":
-        """Run one frame and project the result onto an observation.
-
-        The oracle object is session-scoped: its registers and counters
-        persist across ``observe`` calls, so feeding it a cell's frames
-        in device arrival order (with each frame's ``ingress_port`` and
-        ``timestamp``) keeps its state in lockstep with the device —
-        which is what lets cross-backend diffs of ``stateful_firewall``
-        attribute register-dependent divergences to deviation tags
-        instead of mispredicting the spec.
-        """
-        return Observation.from_result(
-            self.process(
-                wire, ingress_port=ingress_port, timestamp=timestamp
-            )
+def tag_model(compiled: CompiledProgram, tag: str) -> DeviationModel:
+    """The model of exactly one deviation tag on ``compiled``'s backend:
+    the spec with only that tag's field taken from ``compiled.model``."""
+    model = compiled.model
+    if tag == REJECT_NOT_IMPLEMENTED:
+        return DeviationModel(honor_reject=model.honor_reject)
+    if tag == TCAM_QUANTIZED:
+        return DeviationModel(quantize_tcam=model.quantize_tcam)
+    if tag == DEPARSE_FIELD_BUDGET_EXCEEDED:
+        return DeviationModel(
+            deparse_field_budget=model.deparse_field_budget
         )
-
-
-def tag_model(
-    compiled: CompiledProgram, tag: str
-) -> tuple[bool, bool, int | None]:
-    """The ``(honor_reject, quantize_tcam, deparse_field_budget)`` model
-    of exactly one deviation tag on ``compiled``'s backend."""
-    return (
-        tag != REJECT_NOT_IMPLEMENTED,
-        tag == TCAM_QUANTIZED,
-        compiled.deparse_field_budget
-        if tag == DEPARSE_FIELD_BUDGET_EXCEEDED
-        else None,
-    )
+    return SPEC_MODEL
 
 
 @dataclass(frozen=True)
@@ -619,9 +586,8 @@ class DifferentialRunner:
         recorded on the cell. ``count`` caps the set: exceeding it is
         a loud error, never a silent truncation of the claim."""
         from .coverage import covering_set, verify_coverage
-        from ..baselines.paths import DeviationModel
 
-        model = DeviationModel.from_compiled(compiled)
+        model = compiled.model
         packets, cmap = covering_set(
             compiled.program, model, seed=seed, target=target
         )
@@ -655,51 +621,32 @@ class DifferentialRunner:
         # oracle observes EVERY frame: for stateful programs that keeps
         # each model's counters/registers evolving in lockstep with the
         # device, which sees the same frame sequence.
-        oracles: dict[tuple, DeviantOracle] = {}
-
-        def oracle_for(honor_reject, quantize, budget) -> DeviantOracle:
-            key = (honor_reject, quantize, budget)
-            if key not in oracles:
-                oracles[key] = DeviantOracle(
-                    compiled.program,
-                    honor_reject=honor_reject,
-                    quantize_tcam=quantize,
-                    deparse_field_budget=budget,
-                )
-            return oracles[key]
-
-        spec_oracle = oracle_for(True, False, None)
-        model_oracle = oracle_for(
-            compiled.honor_reject,
-            compiled.quantize_tcam,
-            compiled.deparse_field_budget,
-        )
-        tag_oracles = {
-            tag: oracle_for(*tag_model(compiled, tag))
+        oracles: dict[DeviationModel, Interpreter] = {}
+        tag_models = {
+            tag: tag_model(compiled, tag)
             for tag in compiled.silent_deviations
         }
+        for m in (SPEC_MODEL, compiled.model, *tag_models.values()):
+            if m not in oracles:
+                oracles[m] = Interpreter(compiled.program, model=m)
         for index, (wire, port) in enumerate(pairs):
             cell.packets += 1
             # Every oracle sees the same ingress port and injection
             # timestamp the device will: state threads identically.
             timestamp = device.clock_cycles
             predictions = {
-                key: oracle.observe(
-                    wire, ingress_port=port, timestamp=timestamp
+                m: Observation.from_result(
+                    oracle.process(
+                        wire, ingress_port=port, timestamp=timestamp
+                    )
                 )
-                for key, oracle in oracles.items()
+                for m, oracle in oracles.items()
             }
-            spec = predictions[(True, False, None)]
-            model = predictions[
-                (
-                    compiled.honor_reject,
-                    compiled.quantize_tcam,
-                    compiled.deparse_field_budget,
-                )
-            ]
+            spec = predictions[SPEC_MODEL]
+            model = predictions[compiled.model]
             fired = {
-                tag: predictions[tag_model(compiled, tag)].diff_kinds(spec)
-                for tag in tag_oracles
+                tag: predictions[m].diff_kinds(spec)
+                for tag, m in tag_models.items()
             }
             run = device.inject(wire, port=port, timestamp=timestamp)
             observed = Observation.from_result(run.result)

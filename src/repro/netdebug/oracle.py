@@ -76,7 +76,7 @@ class ReferenceOracle:
         self._interpreter = self._fresh_interpreter()
 
     def _fresh_interpreter(self) -> Interpreter:
-        return Interpreter(self.program, honor_reject=True)
+        return Interpreter(self.program)
 
     @property
     def interpreter(self) -> Interpreter:

@@ -2,10 +2,13 @@
 
 The interpreter defines the *reference semantics* that every target is
 judged against: parse → ingress → egress → deparse, with ``reject``
-dropping the packet as the P4₁₆ specification requires. Targets
-(:mod:`repro.target`) reuse these routines but may deviate deliberately —
-the SDNet-like target's missing ``reject`` state is implemented as exactly
-such a deviation.
+dropping the packet as the P4₁₆ specification requires.
+
+A target's datapath is the spec plus a :class:`DeviationModel`, the one
+value naming every silent deviation a backend introduces.
+:class:`Interpreter` is the only tree-walker: oracles, coverage and
+compression replays and the ``tree`` device engine all run it, each
+under the model it needs (:data:`SPEC_MODEL` by default).
 
 Every run produces a :class:`Trace` of fine-grained events. The trace is
 what NetDebug's internal tap points observe; external tools only ever see
@@ -51,6 +54,8 @@ from .types import (
 )
 
 __all__ = [
+    "DeviationModel",
+    "SPEC_MODEL",
     "Verdict",
     "TraceEvent",
     "Trace",
@@ -64,6 +69,34 @@ __all__ = [
 
 #: Safety bound on parser steps, to terminate cyclic parser graphs.
 MAX_PARSER_STEPS = 64
+
+
+@dataclass(frozen=True)
+class DeviationModel:
+    """A datapath's behavioural model: the spec plus its silent deviations.
+
+    Frozen and hashable, so equal models can share one oracle. The
+    defaults are the specification (:data:`SPEC_MODEL`).
+
+    Attributes:
+        honor_reject: When False, a parser transition to ``reject`` (or a
+            failed ``verify``) is silently treated as ``accept`` — the
+            SDNet deviation the paper's case study discovered.
+        quantize_tcam: When True, ternary/range table patterns are
+            quantized to power-of-two boundaries at match time — the
+            Tofino-like TCAM deviation.
+        deparse_field_budget: When set, only the emit-order prefix
+            within this header-field budget is deparsed — the
+            Tofino-like deparse deviation.
+    """
+
+    honor_reject: bool = True
+    quantize_tcam: bool = False
+    deparse_field_budget: int | None = None
+
+
+#: The specification's model: no deviations.
+SPEC_MODEL = DeviationModel()
 
 
 class Verdict(str, Enum):
@@ -81,12 +114,14 @@ class TraceEvent:
     ``kind`` is one of: ``parser_state``, ``parser_extract``,
     ``parser_verify_fail``, ``parser_accept``, ``parser_reject``,
     ``table_apply``, ``action``, ``primitive``, ``drop``, ``forward``,
-    ``deparse``.
+    ``deparse``. A ``table_apply`` event's ``entry`` is the index of the
+    winning installed entry, ``None`` for a miss.
     """
 
     kind: str
     detail: str
     stage: str = ""
+    entry: int | None = None
 
 
 @dataclass
@@ -95,8 +130,11 @@ class Trace:
 
     events: list[TraceEvent] = field(default_factory=list)
 
-    def add(self, kind: str, detail: str, stage: str = "") -> None:
-        self.events.append(TraceEvent(kind, detail, stage))
+    def add(
+        self, kind: str, detail: str, stage: str = "",
+        entry: int | None = None,
+    ) -> None:
+        self.events.append(TraceEvent(kind, detail, stage, entry))
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -212,35 +250,22 @@ class Interpreter:
     Attributes:
         program: The program under execution.
         state: Stateful objects (counters/registers), shared across packets.
-        honor_reject: When False, a parser transition to ``reject`` is
-            silently treated as ``accept`` — the SDNet deviation the paper's
-            case study discovered. Reference semantics use True.
-        quantize_tcam: When True, ternary/range table patterns are
-            quantized to power-of-two boundaries at match time — the
-            Tofino-like TCAM deviation. Reference semantics use False.
-        deparse_field_budget: When set, only the emit-order prefix
-            within this header-field budget is deparsed — the
-            Tofino-like deparse deviation. Reference semantics use None.
-
-    The three deviation knobs default to spec-faithful values; targets
-    reuse this engine with their own settings so every deviant datapath
-    has exactly one tree-walking definition.
+        model: The datapath's :class:`DeviationModel`; the default
+            :data:`SPEC_MODEL` is the reference semantics. Every deviant
+            datapath has exactly this one tree-walking definition.
     """
 
     def __init__(
         self,
         program: P4Program,
         state: RuntimeState | None = None,
-        honor_reject: bool = True,
-        quantize_tcam: bool = False,
-        deparse_field_budget: int | None = None,
+        model: DeviationModel = SPEC_MODEL,
     ):
         self.program = program
         self.state = state or RuntimeState.for_program(program)
-        self.honor_reject = honor_reject
-        self.quantize_tcam = quantize_tcam
+        self.model = model
         self._emit_prefix = program.deparser.emit_prefix(
-            program.env, deparse_field_budget
+            program.env, model.deparse_field_budget
         )
 
     # ------------------------------------------------------------------
@@ -299,7 +324,7 @@ class Interpreter:
 
         def reject(code: int, why: str) -> tuple[Packet, bytes, bool]:
             metadata["parser_error"] = code
-            if self.honor_reject:
+            if self.model.honor_reject:
                 trace.add("parser_reject", why, stage="parser")
                 return packet, wire[offset:], False
             # SDNet deviation: the reject state is not implemented; the
@@ -352,7 +377,7 @@ class Interpreter:
                         error_code or PARSER_ERROR_VERIFY_FAILED,
                         f"verify failed in {state_name}",
                     )
-                    if self.honor_reject:
+                    if self.model.honor_reject:
                         return result
                     # Deviant target: fall through and keep parsing as if
                     # the verify had succeeded.
@@ -415,13 +440,14 @@ class Interpreter:
     ) -> bool:
         table = control.table(table_name)
         result = table.lookup(
-            ctx, self.program.env, quantize=self.quantize_tcam
+            ctx, self.program.env, quantize=self.model.quantize_tcam
         )
         trace.add(
             "table_apply",
             f"{table_name}: {'hit' if result.hit else 'miss'} -> "
             f"{result.action}",
             stage=control.name,
+            entry=result.index,
         )
         action = table.action(result.action)
         self.run_action(
@@ -592,8 +618,8 @@ class Interpreter:
     def deparse(self, packet: Packet, trace: Trace) -> Packet:
         """Re-serialize per the deparser's emit order.
 
-        A deviant ``deparse_field_budget`` restricts emission to the
-        budgeted prefix (:meth:`repro.p4.deparser.Deparser.emit_prefix`).
+        A deviant ``model.deparse_field_budget`` restricts emission to
+        the budgeted prefix (:meth:`repro.p4.deparser.Deparser.emit_prefix`).
         """
         emitted: list[Header] = []
         for name in self._emit_prefix:

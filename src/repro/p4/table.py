@@ -87,12 +87,16 @@ class TableEntry:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Outcome of a table lookup."""
+    """Outcome of a table lookup.
+
+    ``index`` is the winning entry's position in :attr:`Table.entries`,
+    ``None`` on a miss.
+    """
 
     hit: bool
     action: str
     action_data: tuple[int, ...]
-    entry: TableEntry | None = None
+    index: int | None = None
 
 
 def _key_matches(
@@ -232,8 +236,9 @@ class Table:
         values = tuple(key.expr.eval(ctx, env) for key in self.keys)
         widths = tuple(key.expr.width(env) for key in self.keys)
         best: TableEntry | None = None
+        best_index: int | None = None
         best_rank: tuple[int, int] = (-1, -1)
-        for entry in self.entries:
+        for index, entry in enumerate(self.entries):
             if not all(
                 _key_matches(key.kind, pattern, value, width, quantize)
                 for key, pattern, value, width in zip(
@@ -250,6 +255,7 @@ class Table:
             rank = (prefix_total, entry.priority)
             if best is None or rank > best_rank:
                 best = entry
+                best_index = index
                 best_rank = rank
         if best is None:
             return MatchResult(
@@ -261,5 +267,5 @@ class Table:
             hit=True,
             action=best.action,
             action_data=best.action_data,
-            entry=best,
+            index=best_index,
         )

@@ -21,8 +21,8 @@ back to ``~/.cache/repro-target``. The key is a SHA-256 over:
 * a canonical recursive serialization of the *pre-provisioning*
   program IR (dataclass fields in declaration order, dict items
   sorted, enums by value) — so any program edit changes the key;
-* the target name and its deviation model (``honor_reject``,
-  ``quantize_tcam``, ``deparse_field_budget``);
+* the target name and the ``repr`` of its
+  :class:`~repro.p4.interpreter.DeviationModel`;
 * a caller-supplied extra tag (campaigns use the setup label, since
   provisioned table entries are stored inside the artifact);
 * :data:`CACHE_VERSION` and the interpreter version.
@@ -63,7 +63,7 @@ __all__ = [
 
 #: Bump when the on-disk artifact format changes. Also stamped into
 #: cluster job frames so a stale worker fails fast (see transport.py).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 _ENV_VAR = "REPRO_COMPILE_CACHE"
 _DISABLED = {"off", "0", "none", "disabled"}
@@ -146,9 +146,7 @@ class ArtifactCache:
             f"v{CACHE_VERSION}",
             f"py{sys.version_info[0]}.{sys.version_info[1]}",
             compiler.limits.name,
-            repr(compiler.honor_reject),
-            repr(compiler.quantize_tcam),
-            repr(compiler.deparse_field_budget),
+            repr(compiler.model),
             extra,
             "|",
         ]
@@ -185,12 +183,7 @@ class ArtifactCache:
             compiled: CompiledProgram = payload["artifact"]
             if compiled.target_name != compiler.limits.name:
                 raise ValueError("artifact/target mismatch")
-            compiled.fast = compile_program(
-                compiled.program,
-                compiled.honor_reject,
-                quantize_tcam=compiled.quantize_tcam,
-                deparse_field_budget=compiled.deparse_field_budget,
-            )
+            compiled.fast = compile_program(compiled.program, compiled.model)
         except FileNotFoundError:
             _STATS["misses"] += 1
             return None

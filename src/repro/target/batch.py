@@ -651,11 +651,6 @@ class BatchProgram:
 
     def __init__(self, compiled: CompiledProgram, limits: ArchLimits):
         fast = compiled.fast
-        if fast is None:
-            raise ValueError(
-                "batch compilation requires the closure fast path; "
-                "rebuild the artifact with TargetCompiler.compile"
-            )
         program = compiled.program
         self.program = program
         self.fast = fast
@@ -663,11 +658,11 @@ class BatchProgram:
         # Source-specialized parser/deparser; the closure forms are the
         # fallback for constructs the generator does not handle.
         self.parse = (
-            _compile_block_parser(program, fast.honor_reject)
+            _compile_block_parser(program, fast.model.honor_reject)
             or fast.parse
         )
         self.deparse = _compile_block_deparser(
-            program, fast.deparse, fast.deparse_field_budget
+            program, fast.deparse, fast.model.deparse_field_budget
         )
 
         template = standard_metadata_defaults()

@@ -9,6 +9,11 @@ introduces, and — the performance core — lowers the program once into
 closures (:mod:`repro.target.fastpath`) so per-packet execution never
 walks an expression tree.
 
+A backend *is* its :class:`~repro.p4.interpreter.DeviationModel`: the
+``model`` class attribute names the datapath semantics the compiler
+generates, and every artifact, closure and oracle built for the target
+reads that one value.
+
 Diagnostics model real toolchain output: limit violations are errors
 (the compile fails loudly), everything else is at most a warning. A
 silent deviation, by definition, produces **no** diagnostic — that is
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..exceptions import CompileError
+from ..p4.interpreter import SPEC_MODEL, DeviationModel
 from ..p4.program import P4Program
 from ..p4.table import MatchKind
 from ..p4.validation import validate_program
@@ -50,23 +56,21 @@ class Diagnostic:
 class CompiledProgram:
     """The artifact ``load`` installs on a device.
 
-    ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget`` are
-    the artifact's *behavioural model*: the exact datapath semantics the
-    backend generated, including its silent deviations. They are ground
-    truth for differential testing (``silent_deviations`` carries the
-    matching tags) and are deliberately absent from ``diagnostics``.
+    ``model`` is the artifact's behavioural model: the exact datapath
+    semantics the backend generated, including its silent deviations.
+    It is ground truth for differential testing (``silent_deviations``
+    carries the matching tags) and is deliberately absent from
+    ``diagnostics``.
     """
 
     program: P4Program
     target_name: str
-    honor_reject: bool
+    model: DeviationModel
     diagnostics: list[Diagnostic] = field(default_factory=list)
     silent_deviations: list[str] = field(default_factory=list)
     resources: ResourceUsage = field(default_factory=ResourceUsage)
     utilization: dict[str, float] = field(default_factory=dict)
     fast: FastProgram | None = field(default=None, repr=False)
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
     #: Lazily-built block kernel (repro.target.batch); one per artifact,
     #: excluded from pickling by the artifact cache like ``fast``.
     batch: object | None = field(
@@ -80,21 +84,12 @@ class TargetCompiler:
     Attributes:
         limits: The target's published :class:`ArchLimits`.
         capacity: Device capacity the estimated resources must fit.
-        honor_reject: Whether the generated datapath implements the
-            parser ``reject`` state. The base compiler and the
-            reference target do; the SDNet-like backend does not.
-        quantize_tcam: Whether the generated datapath quantizes
-            ternary/range patterns to power-of-two boundaries (the
-            Tofino-like backend's TCAM deviation).
-        deparse_field_budget: Header-field budget of the generated
-            deparser, or ``None`` for a spec-faithful deparser. Headers
-            past the budget are silently not deparsed (the Tofino-like
-            backend's second deviation).
+        model: The generated datapath's deviation model. The base
+            compiler and the reference target generate the spec;
+            deviant backends override it.
     """
 
-    honor_reject: bool = True
-    quantize_tcam: bool = False
-    deparse_field_budget: int | None = None
+    model: DeviationModel = SPEC_MODEL
 
     def __init__(
         self,
@@ -233,17 +228,10 @@ class TargetCompiler:
         return CompiledProgram(
             program=program,
             target_name=self.limits.name,
-            honor_reject=self.honor_reject,
+            model=self.model,
             diagnostics=diagnostics,
             silent_deviations=self.deviations(program),
             resources=resources,
             utilization=self.capacity.utilization(resources),
-            fast=compile_program(
-                program,
-                self.honor_reject,
-                quantize_tcam=self.quantize_tcam,
-                deparse_field_budget=self.deparse_field_budget,
-            ),
-            quantize_tcam=self.quantize_tcam,
-            deparse_field_budget=self.deparse_field_budget,
+            fast=compile_program(program, self.model),
         )

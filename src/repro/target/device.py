@@ -124,13 +124,21 @@ class NetworkDevice:
         a program once and stamps out a fresh device (fresh runtime
         state, stats, clock, fault set) per shard. Note the *program*
         object (and its installed table entries) is shared by every
-        device installing the same artifact.
+        device installing the same artifact. An artifact without its
+        closures (``fast`` is None, the shape the artifact cache
+        pickles) installs only on the ``tree`` engine.
         """
         if compiled.target_name != self.limits.name:
             raise TargetError(
                 f"artifact compiled for target {compiled.target_name!r} "
                 f"cannot be installed on {self.limits.name!r} device "
                 f"{self.name!r}"
+            )
+        if compiled.fast is None and self.engine != "tree":
+            raise TargetError(
+                f"artifact for program {compiled.program.name!r} carries "
+                f"no compiled fast path; the {self.engine!r} engine of "
+                f"device {self.name!r} cannot run it"
             )
         program = compiled.program
         state = RuntimeState.for_program(program)

@@ -21,8 +21,11 @@ loaded program **once** into plain Python closures:
   observe packets between stages (:mod:`repro.target.pipeline`), never
   through TraceEvents, so nothing is lost.
 
-Equivalence with tree-walking interpretation is pinned by the
-differential suite in ``tests/test_target_fastpath_differential.py``.
+The artifact's :class:`~repro.p4.interpreter.DeviationModel` is
+resolved at compile time, each field by the one step it specializes
+(parser, table match, deparser). Equivalence with the tree-walking
+:class:`~repro.p4.interpreter.Interpreter` under the same model is
+pinned by ``tests/test_target_fastpath_differential.py``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,13 @@ from ..p4.actions import (
 )
 from ..p4.control import ApplyTable, Call, Control, If, IfHit, Seq, Stmt
 from ..p4.expr import compile_expr
-from ..p4.interpreter import MAX_PARSER_STEPS, ExitPipeline, stable_hash
+from ..p4.interpreter import (
+    MAX_PARSER_STEPS,
+    SPEC_MODEL,
+    DeviationModel,
+    ExitPipeline,
+    stable_hash,
+)
 from ..p4.parser import ACCEPT, REJECT
 from ..p4.program import P4Program
 from ..p4.table import MatchKind, Table
@@ -648,52 +657,38 @@ def _compile_deparser(program: P4Program, field_budget: int | None = None):
 class FastProgram:
     """A program compiled to closures, ready for per-packet execution.
 
-    ``honor_reject`` / ``quantize_tcam`` / ``deparse_field_budget``
-    select the target's datapath semantics, including its silent
-    deviations; the defaults are the spec-faithful reference semantics.
+    ``model`` selects the target's datapath semantics, including its
+    silent deviations; :data:`~repro.p4.interpreter.SPEC_MODEL` is the
+    spec-faithful reference.
     """
 
     __slots__ = (
         "program",
-        "honor_reject",
-        "quantize_tcam",
-        "deparse_field_budget",
+        "model",
         "parse",
         "ingress_stages",
         "egress_stages",
         "deparse",
     )
 
-    def __init__(
-        self,
-        program: P4Program,
-        honor_reject: bool,
-        quantize_tcam: bool = False,
-        deparse_field_budget: int | None = None,
-    ):
+    def __init__(self, program: P4Program, model: DeviationModel):
         self.program = program
-        self.honor_reject = honor_reject
-        self.quantize_tcam = quantize_tcam
-        self.deparse_field_budget = deparse_field_budget
-        self.parse = _compile_parser(program, honor_reject)
+        self.model = model
+        quantize = model.quantize_tcam
+        self.parse = _compile_parser(program, model.honor_reject)
         self.ingress_stages = [
-            _compile_stmt(program, program.ingress, stmt, quantize_tcam)
+            _compile_stmt(program, program.ingress, stmt, quantize)
             for stmt in control_stages(program.ingress)
         ]
         self.egress_stages = [
-            _compile_stmt(program, program.egress, stmt, quantize_tcam)
+            _compile_stmt(program, program.egress, stmt, quantize)
             for stmt in control_stages(program.egress)
         ]
-        self.deparse = _compile_deparser(program, deparse_field_budget)
+        self.deparse = _compile_deparser(program, model.deparse_field_budget)
 
 
 def compile_program(
-    program: P4Program,
-    honor_reject: bool = True,
-    quantize_tcam: bool = False,
-    deparse_field_budget: int | None = None,
+    program: P4Program, model: DeviationModel = SPEC_MODEL
 ) -> FastProgram:
     """Compile ``program`` once for closure-based execution."""
-    return FastProgram(
-        program, honor_reject, quantize_tcam, deparse_field_budget
-    )
+    return FastProgram(program, model)

@@ -103,19 +103,11 @@ class TargetRun:
 
 class _FaultAwareInterpreter(Interpreter):
     """Tree-walking engine extended with stuck-table / frozen-counter
-    faults. The compiled artifact's silent target deviations (reject,
-    quantized TCAM, deparse field budget) are the base interpreter's
-    deviation knobs, so both execution modes stay behaviourally
-    identical by construction."""
+    faults. It runs under the compiled artifact's deviation model, so
+    both execution modes stay behaviourally identical by construction."""
 
-    def __init__(self, program, state, compiled, pipeline):
-        super().__init__(
-            program,
-            state=state,
-            honor_reject=compiled.honor_reject,
-            quantize_tcam=compiled.quantize_tcam,
-            deparse_field_budget=compiled.deparse_field_budget,
-        )
+    def __init__(self, program, state, model, pipeline):
+        super().__init__(program, state=state, model=model)
         self._pipeline = pipeline
 
     def apply_table(self, control, table_name, ctx, trace):
@@ -158,10 +150,10 @@ class StagedPipeline:
         self.limits = limits
         self.state = state or RuntimeState.for_program(self.program)
         self.injector = injector
-        self.use_compiled = use_compiled and compiled.fast is not None
+        self.use_compiled = use_compiled
         self._fast = compiled.fast
         self._interp = _FaultAwareInterpreter(
-            self.program, self.state, compiled, pipeline=self
+            self.program, self.state, compiled.model, pipeline=self
         )
         self._current_stuck: frozenset | set = _EMPTY_SET
         self._current_frozen: frozenset | set = _EMPTY_SET

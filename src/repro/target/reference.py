@@ -17,9 +17,8 @@ __all__ = ["ReferenceCompiler", "make_reference_device"]
 
 
 class ReferenceCompiler(TargetCompiler):
-    """Compiles with reference semantics: ``reject`` fully implemented."""
-
-    honor_reject = True
+    """Compiles with reference semantics: ``reject`` fully implemented
+    (the inherited spec model)."""
 
     def __init__(self) -> None:
         super().__init__(REFERENCE_LIMITS)

@@ -12,6 +12,7 @@ spec oracle exposes it, which is exactly the paper's case study.
 
 from __future__ import annotations
 
+from ..p4.interpreter import DeviationModel
 from ..p4.program import P4Program
 from .compiler import TargetCompiler
 from .device import NetworkDevice
@@ -26,7 +27,7 @@ REJECT_NOT_IMPLEMENTED = "parser-reject-not-implemented"
 class SDNetCompiler(TargetCompiler):
     """SDNet-like compiler: tighter limits, silently broken ``reject``."""
 
-    honor_reject = False
+    model = DeviationModel(honor_reject=False)
 
     def __init__(self) -> None:
         super().__init__(SDNET_LIMITS)

@@ -28,6 +28,7 @@ point: with two backends deviating in *different* stages, a 3-way
 
 from __future__ import annotations
 
+from ..p4.interpreter import DeviationModel
 from ..p4.program import P4Program
 from ..p4.table import MatchKind
 from .compiler import TargetCompiler
@@ -65,9 +66,9 @@ class TofinoCompiler(TargetCompiler):
     ``silent_deviations``, never in diagnostics.
     """
 
-    honor_reject = True
-    quantize_tcam = True
-    deparse_field_budget = DEPARSE_FIELD_BUDGET
+    model = DeviationModel(
+        quantize_tcam=True, deparse_field_budget=DEPARSE_FIELD_BUDGET
+    )
 
     def __init__(self) -> None:
         super().__init__(TOFINO_LIMITS)
@@ -81,7 +82,7 @@ class TofinoCompiler(TargetCompiler):
         ):
             tags.append(TCAM_QUANTIZED)
         emitted = program.deparser.emit_prefix(
-            program.env, self.deparse_field_budget
+            program.env, self.model.deparse_field_budget
         )
         if len(emitted) < len(program.deparser.emit_order):
             tags.append(DEPARSE_FIELD_BUDGET_EXCEEDED)

@@ -6,6 +6,8 @@ must never diverge at all; and a backend that *lies* about its
 deviations must make the harness fail loudly.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.netdebug.campaign import TARGETS
@@ -13,7 +15,10 @@ from repro.netdebug.differential import (
     DifferentialCase,
     DifferentialRunner,
     diagnose_report,
+    tag_model,
 )
+from repro.p4.interpreter import SPEC_MODEL
+from repro.p4.stdlib import PROGRAMS
 from repro.target.sdnet import REJECT_NOT_IMPLEMENTED, SDNetCompiler
 from repro.target.device import NetworkDevice
 from repro.target.tofino import (
@@ -141,6 +146,35 @@ class TestHarnessPieces:
         for cell in report.cells:
             tags_witnessed.update(cell.diffs_by_tag())
         assert tags_witnessed == {
+            REJECT_NOT_IMPLEMENTED,
+            TCAM_QUANTIZED,
+            DEPARSE_FIELD_BUDGET_EXCEEDED,
+        }
+
+    def test_each_declared_tag_maps_onto_the_artifact_model(self):
+        # tag_model's tag -> field table is the only link between a
+        # declared tag and the compiler's model: each tag must switch
+        # on exactly one spec field, to the artifact's own value.
+        tags_seen = set()
+        for program in sorted(PROGRAMS):
+            for target in sorted(TARGETS):
+                device = TARGETS[target](f"tags-{target}-{program}")
+                compiled = device.load(PROGRAMS[program]())
+                for tag in compiled.silent_deviations:
+                    model = tag_model(compiled, tag)
+                    changed = [
+                        f.name
+                        for f in dataclasses.fields(model)
+                        if getattr(model, f.name)
+                        != getattr(SPEC_MODEL, f.name)
+                    ]
+                    assert len(changed) == 1, (program, target, tag)
+                    field = changed[0]
+                    assert getattr(model, field) == getattr(
+                        compiled.model, field
+                    ), (program, target, tag)
+                    tags_seen.add(tag)
+        assert tags_seen == {
             REJECT_NOT_IMPLEMENTED,
             TCAM_QUANTIZED,
             DEPARSE_FIELD_BUDGET_EXCEEDED,

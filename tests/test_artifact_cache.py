@@ -11,6 +11,7 @@ from repro.netdebug.transport import (
     require_cache_version,
     stamp_cache_version,
 )
+from repro.p4.interpreter import DeviationModel
 from repro.p4.stdlib import PROGRAMS
 from repro.target.artifact_cache import (
     CACHE_VERSION,
@@ -19,6 +20,8 @@ from repro.target.artifact_cache import (
     stats_delta,
     stats_snapshot,
 )
+from repro.target.compiler import TargetCompiler
+from repro.target.limits import REFERENCE_LIMITS
 from repro.target.reference import ReferenceCompiler, make_reference_device
 from repro.target.sdnet import SDNetCompiler
 
@@ -45,6 +48,14 @@ def test_key_is_stable_and_distinguishes_inputs(tmp_path):
     assert key != cache.key_for(PROGRAMS["l2_switch"](), compiler)
     assert key != cache.key_for(program, SDNetCompiler())
     assert key != cache.key_for(program, compiler, extra="acl_gate")
+
+    # Same target name and limits, only the deviation model differs.
+    class QuantizingReference(TargetCompiler):
+        model = DeviationModel(quantize_tcam=True)
+
+    assert key != cache.key_for(
+        program, QuantizingReference(REFERENCE_LIMITS)
+    )
 
 
 def test_key_changes_with_installed_entries(tmp_path):

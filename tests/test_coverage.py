@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.baselines.paths import SPEC_MODEL, DeviationModel
 from repro.exceptions import NetDebugError, SimulationError
 from repro.netdebug.campaign import (
     PROVISIONERS,
@@ -25,6 +24,7 @@ from repro.netdebug.diffing import (
     baseline_coverage_matrix,
     run_baseline_coverage,
 )
+from repro.p4.interpreter import SPEC_MODEL
 from repro.p4.stdlib import PROGRAMS, acl_firewall, strict_parser
 from repro.sim.traffic import WorkloadContext, build_workload, default_flow
 
@@ -37,7 +37,7 @@ def model_for(program_name, target_name, setup=""):
     compiled = device.load(PROGRAMS[program_name]())
     if setup:
         PROVISIONERS[setup](device)
-    return compiled.program, DeviationModel.from_compiled(compiled)
+    return compiled.program, compiled.model
 
 
 class TestCoveringSet:

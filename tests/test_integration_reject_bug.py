@@ -119,16 +119,14 @@ class TestStep3_SpecCompliantTargetIsClean:
         assert report.passed
 
     def test_interpreter_verdicts_differ_only_on_malformed(self, workload):
-        from repro.p4.interpreter import Interpreter
+        from repro.p4.interpreter import DeviationModel, Interpreter
 
         program = strict_parser()
         for packet, malformed in workload:
-            faithful = Interpreter(program, honor_reject=True).process(
-                packet.pack()
-            )
-            deviant = Interpreter(program, honor_reject=False).process(
-                packet.pack()
-            )
+            faithful = Interpreter(program).process(packet.pack())
+            deviant = Interpreter(
+                program, model=DeviationModel(honor_reject=False)
+            ).process(packet.pack())
             if malformed:
                 assert faithful.verdict is Verdict.PARSER_REJECTED
                 assert deviant.verdict is Verdict.FORWARDED

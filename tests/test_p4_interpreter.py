@@ -19,7 +19,12 @@ from repro.p4.actions import (
 from repro.p4.control import Call, If
 from repro.p4.dsl import ProgramBuilder
 from repro.p4.expr import Const, fld, meta
-from repro.p4.interpreter import Interpreter, RuntimeState, Verdict
+from repro.p4.interpreter import (
+    DeviationModel,
+    Interpreter,
+    RuntimeState,
+    Verdict,
+)
 from repro.p4.parser import ACCEPT, REJECT
 from repro.p4.stdlib import ipv4_router, strict_parser
 from repro.p4.types import (
@@ -120,48 +125,48 @@ class TestParsing:
 
 
 class TestRejectDeviation:
-    """The honor_reject=False path models the SDNet bug."""
+    """The ``honor_reject=False`` model is the SDNet bug."""
 
     def test_explicit_reject_ignored(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(frame.pack())
         assert result.verdict is Verdict.FORWARDED
 
     def test_verify_failure_ignored(self):
         program = strict_parser()
         packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
         packet.get("ipv4")["version"] = 9
-        result = Interpreter(program, honor_reject=False).process(
-            packet.pack()
-        )
+        result = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(packet.pack())
         assert result.verdict is Verdict.FORWARDED
 
     def test_trace_records_ignored_reject(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(frame.pack())
         assert result.trace.of_kind("parser_reject_ignored")
 
     def test_parser_error_metadata_still_set(self):
         program = strict_parser()
         frame = ethernet_frame(1, 2, 0xBEEF, payload=b"x" * 30)
-        result = Interpreter(program, honor_reject=False).process(
-            frame.pack()
-        )
+        result = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(frame.pack())
         assert result.metadata["parser_error"] != 0
 
     def test_good_packets_identical_either_way(self):
         program = strict_parser()
         packet = udp_packet(ipv4("1.1.1.1"), ipv4("2.2.2.2"), 53, 1)
         faithful = Interpreter(program).process(packet.pack())
-        deviant = Interpreter(program, honor_reject=False).process(
-            packet.pack()
-        )
+        deviant = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(packet.pack())
         assert faithful.packet.pack() == deviant.packet.pack()
 
 

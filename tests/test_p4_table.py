@@ -136,9 +136,10 @@ class TestLpmMatch:
             TableEntry((KeyPattern.lpm(0x0A010000, 16),), "fwd", (2,))
         )
         result = table.lookup(make_ctx(0x0A010203), env)
-        assert result.action_data == (2,)
+        assert result.action_data == (2,) and result.index == 1
         result = table.lookup(make_ctx(0x0A990203), env)
-        assert result.action_data == (1,)
+        assert result.action_data == (1,) and result.index == 0
+        assert table.lookup(make_ctx(0x0B000000), env).index is None
 
     def test_zero_prefix_matches_all(self, env):
         table = make_table(MatchKind.LPM)

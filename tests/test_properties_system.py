@@ -10,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.controlplane import RuntimeAPI
 from repro.netdebug.session import reference_expectation
-from repro.p4.interpreter import Interpreter, RuntimeState, Verdict
+from repro.p4.interpreter import (
+    DeviationModel,
+    Interpreter,
+    RuntimeState,
+    Verdict,
+)
 from repro.p4.stdlib import ecmp_load_balancer, ipv4_router, strict_parser
 from repro.packet.builder import udp_packet
 from repro.packet.headers import ipv4, mac
@@ -103,8 +108,10 @@ class TestRejectPartition:
         """honor_reject only ever flips PARSER_REJECTED to FORWARDED."""
         wire = build_wire(args)
         program = strict_parser()
-        faithful = Interpreter(program, honor_reject=True).process(wire)
-        deviant = Interpreter(program, honor_reject=False).process(wire)
+        faithful = Interpreter(program).process(wire)
+        deviant = Interpreter(
+            program, model=DeviationModel(honor_reject=False)
+        ).process(wire)
         if faithful.verdict is Verdict.PARSER_REJECTED:
             assert deviant.verdict is Verdict.FORWARDED
         else:

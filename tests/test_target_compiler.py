@@ -15,7 +15,7 @@ class TestReferenceCompiler:
         compiler = ReferenceCompiler()
         for factory in PROGRAMS.values():
             compiled = compiler.compile(factory())
-            assert compiled.honor_reject
+            assert compiled.model.honor_reject
             assert compiled.silent_deviations == []
             assert compiled.resources.luts > 0
             assert 0 < max(compiled.utilization.values()) < 1
@@ -38,7 +38,7 @@ class TestSDNetCompiler:
     def test_records_reject_deviation_silently(self):
         compiled = SDNetCompiler().compile(strict_parser())
         assert REJECT_NOT_IMPLEMENTED in compiled.silent_deviations
-        assert not compiled.honor_reject
+        assert not compiled.model.honor_reject
         # The user-visible diagnostics do NOT mention the deviation.
         assert all(
             "reject" not in str(d).lower() for d in compiled.diagnostics

@@ -1,5 +1,7 @@
 """Device-level tests: ports, stats, flood, status, management interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import TargetError
@@ -48,6 +50,19 @@ class TestLifecycle:
         device.load(l2_switch())
         device.load(strict_parser())
         assert device.program.name == "strict_parser"
+
+    @pytest.mark.parametrize("engine", ["closure", "batch"])
+    def test_artifact_without_fast_path_needs_tree_engine(self, engine):
+        # The shape ArtifactCache.store pickles: closures stripped.
+        stripped = dataclasses.replace(
+            ReferenceCompiler().compile(l2_switch()), fast=None
+        )
+        device = make_reference_device(engine=engine)
+        with pytest.raises(TargetError, match="no compiled fast path"):
+            device.install(stripped)
+        tree = make_reference_device(engine="tree")
+        assert tree.install(stripped) is stripped
+        assert tree.process(FRAME, 0)
 
 
 class TestForwarding:

@@ -157,7 +157,7 @@ def test_compiled_matches_spec_interpreter(name):
         program, RuntimeState.for_program(program)
     )
     install_entries(shadow)
-    interpreter = Interpreter(program, honor_reject=True)
+    interpreter = Interpreter(program)
 
     for index, wire in enumerate(workload()):
         # Pin the timestamp: the device clock advances per packet, the
